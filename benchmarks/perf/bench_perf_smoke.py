@@ -32,7 +32,6 @@ def test_perf_harness_smoke():
         "conservative_pass",
         "e2e_easy",
         "e2e_conservative",
-        "trace_scan_kernel",
         "trace_replay",
     }
     for name, case in payload["cases"].items():

@@ -161,10 +161,9 @@ def trace_kth_grid() -> "ScenarioGrid":
     """The large-cluster trace bench grid (KTH/ANL-style profile).
 
     W-KTH floods a 256-node thin machine with small heavy-tailed jobs,
-    so backfill windows fragment into hundreds of availability
-    breakpoints — the regime where ``REPRO_PROFILE_KERNEL=auto``
-    switches the breakpoint kernel onto its vectorized path.  Axes
-    cover pool budget and remote penalty at trace-realistic depth.
+    so backfill scans walk the deepest availability-breakpoint grids
+    of the reference workloads.  Axes cover pool budget and remote
+    penalty at trace-realistic depth.
     """
     from .runner import ScenarioGrid
 

@@ -10,11 +10,9 @@ Four layers, mirroring how scheduler cycle latency composes:
   a primed mid-simulation state (deep queue, busy machine);
 * ``e2e_easy`` / ``e2e_conservative`` — complete 10k-job simulations
   (quick mode: 1 500 jobs), the paper-grid unit of work.
-* ``trace_scan_kernel`` / ``trace_replay`` — the trace-scale layer: a
-  large thin cluster with hundreds of concurrent releases, where the
-  breakpoint grid crosses the ``auto`` kernel's vector floor.  Their
-  ``extra`` payloads surface the chosen kernel mode, scalar-vs-numpy
-  split timings, and observed grid-size percentiles.
+* ``trace_replay`` — the trace-scale layer: a streaming W-KTH replay
+  on a large thin cluster.  Its ``extra`` payload surfaces the
+  breakpoint-grid percentiles every cursor scan saw.
 
 All states are seeded and deterministic, so two harness invocations on
 the same code measure identical work.
@@ -40,7 +38,7 @@ from ..sched.base import (
     build_scheduler,
     pool_pressure,
 )
-from ..sched.profile import get_kernel, set_kernel, set_scan_observer
+from ..sched.profile import set_scan_observer
 from ..units import GiB, HOUR
 from ..workload.job import Job
 from ..workload.reference import generate_reference_jobs
@@ -278,8 +276,7 @@ def _run_e2e(backfill: str, num_jobs: int) -> Tuple[float, int]:
 
 
 # ----------------------------------------------------------------------
-# trace-scale cases: hundreds-of-breakpoints grids (the vector-kernel
-# regime; see _VEC_FLOOR in sched.profile)
+# trace-scale case: streaming replay on a large thin cluster
 # ----------------------------------------------------------------------
 _TRACE_NODES = 1024
 
@@ -288,135 +285,6 @@ def _percentile(sorted_vals: Sequence[int], q: float) -> Optional[int]:
     if not sorted_vals:
         return None
     return sorted_vals[min(len(sorted_vals) - 1, int(q * len(sorted_vals)))]
-
-
-def _trace_scan_batch(
-    cluster: Cluster,
-    scheduler: Scheduler,
-    ctx: SchedulerContext,
-    jobs: Sequence[Job],
-) -> Tuple[float, int]:
-    """Seconds for one ``earliest_start`` per job through a fresh
-    sweep cursor, plus the grid size it scanned.  The profile (and so
-    the cursor) is rebuilt per call, which is what lets callers flip
-    the kernel between batches — kernel selection is sampled at cursor
-    construction."""
-    allocator = scheduler.resolve_allocator(cluster)
-    profile = scheduler.build_profile(ctx)
-    cursor = profile.sweep_cursor()
-    t0 = time.perf_counter()
-    for job in jobs:
-        split = scheduler.split_for(job, cluster)
-        cursor.earliest_start(
-            job, scheduler.est_duration(job, cluster), split.remote,
-            scheduler.placement, allocator,
-        )
-    return time.perf_counter() - t0, len(profile.breakpoints())
-
-
-#: Query widths as machine fractions — EASY's shadow shape.  A scan
-#: for a near-machine-width job on a saturated cluster must reject
-#: breakpoints until almost every release has landed, which is the
-#: walk the vectorized kernel collapses into array reductions.
-_TRACE_SCAN_FRACS = (0.25, 0.5, 0.625, 0.75, 0.875, 0.99)
-
-
-def _trace_scan_setup(
-    num_running: int, queries: int
-) -> Tuple[Cluster, Scheduler, SchedulerContext, List[Job]]:
-    """A saturated trace-scale machine: mostly 1–2-node running jobs
-    (the archive mix), so the release grid carries one breakpoint per
-    job — hundreds of them — and wide shadow queries walk deep."""
-    rng = random.Random(_SEED)
-    cluster = _thin_cluster(_TRACE_NODES)
-    scheduler = _scheduler("easy")
-    running: List[Job] = []
-    queue: List[Job] = []
-    ctx = SchedulerContext(
-        cluster=cluster, now=0.0, queue=queue, running=running,
-        start_job=lambda decision: None,
-    )
-    job_id = 1
-    attempts = 0
-    while len(running) < num_running and attempts < num_running * 4:
-        attempts += 1
-        nodes = rng.choice((1, 1, 1, 1, 2, 2))
-        walltime = rng.uniform(0.5 * HOUR, 6 * HOUR)
-        job = Job(
-            job_id=job_id,
-            submit_time=0.0,
-            nodes=nodes,
-            walltime=walltime,
-            runtime=walltime * rng.uniform(0.4, 0.95),
-            mem_per_node=rng.choice((48, 64, 96, 160)) * GiB,
-        )
-        decision = scheduler.try_start_now(ctx, job)
-        if decision is None:
-            continue
-        pressure = pool_pressure(cluster, decision.plan)
-        dilation = scheduler.penalty.dilation(
-            decision.split.remote_fraction, pressure
-        )
-        cluster.allocate_nodes(job.job_id, decision.node_ids, decision.split.local)
-        cluster.allocate_pool(job.job_id, decision.plan)
-        lifecycle.start_job(job, 0.0, decision, dilation)
-        job.start_time = -rng.uniform(0.0, walltime * 0.8)
-        running.append(job)
-        job_id += 1
-    jobs = [
-        Job(
-            job_id=100_000 + i,
-            submit_time=0.0,
-            nodes=max(1, int(_TRACE_NODES * _TRACE_SCAN_FRACS[i % 6])),
-            walltime=4 * HOUR,
-            runtime=3 * HOUR,
-            mem_per_node=96 * GiB,
-        )
-        for i in range(queries)
-    ]
-    return cluster, scheduler, ctx, jobs
-
-
-def _run_trace_scans(num_running: int, queries: int) -> Tuple[float, int]:
-    cluster, scheduler, ctx, jobs = _trace_scan_setup(num_running, queries)
-    elapsed, _ = _trace_scan_batch(cluster, scheduler, ctx, jobs)
-    return elapsed, len(jobs)
-
-
-def _trace_scan_extra(num_running: int, queries: int) -> dict:
-    """Scalar-vs-numpy split timing of the identical query batch.
-
-    Informational (never gates): documents where the measured grid
-    sits relative to the vector floor and what the vector paths buy
-    at this scale.  Best-of-three per kernel to shed timer noise."""
-    cluster, scheduler, ctx, jobs = _trace_scan_setup(num_running, queries)
-    extras: dict = {"profile_kernel": get_kernel()}
-    prev = set_kernel("scalar")
-    try:
-        runs = [
-            _trace_scan_batch(cluster, scheduler, ctx, jobs)
-            for _ in range(3)
-        ]
-        scalar_s = min(r[0] for r in runs)
-        extras["breakpoints"] = runs[0][1]
-        extras["scalar_ms"] = round(scalar_s * 1e3, 3)
-        try:
-            set_kernel("numpy")
-        except ValueError:  # no numpy on this host
-            extras["numpy_ms"] = None
-            extras["numpy_speedup"] = None
-        else:
-            numpy_s = min(
-                _trace_scan_batch(cluster, scheduler, ctx, jobs)[0]
-                for _ in range(3)
-            )
-            extras["numpy_ms"] = round(numpy_s * 1e3, 3)
-            extras["numpy_speedup"] = (
-                round(scalar_s / numpy_s, 2) if numpy_s > 0 else None
-            )
-    finally:
-        set_kernel(prev)
-    return extras
 
 
 @lru_cache(maxsize=2)
@@ -486,9 +354,8 @@ def _run_trace_replay(num_jobs: int) -> Tuple[float, int]:
 
 def _trace_replay_extra(num_jobs: int) -> dict:
     """One instrumented replay with the scan observer installed:
-    reports the kernel mode and the grid-size distribution every
-    cursor scan actually saw — the quantities that decide whether the
-    ``auto`` kernel's vector paths engaged."""
+    reports the grid-size distribution every cursor scan actually
+    saw."""
     sizes: List[int] = []
     prev = set_scan_observer(sizes.append)
     try:
@@ -497,7 +364,6 @@ def _trace_replay_extra(num_jobs: int) -> dict:
         set_scan_observer(prev)
     sizes.sort()
     return {
-        "profile_kernel": get_kernel(),
         "scans": len(sizes),
         "grid_p50": _percentile(sizes, 0.50),
         "grid_p95": _percentile(sizes, 0.95),
@@ -525,8 +391,6 @@ def build_cases(
     window_queries = max(20, int((500 if quick else 2_000) * scale))
     passes = max(2, int((8 if quick else 30) * scale))
     pending = max(8, int(48 * min(scale, 1.0)))
-    trace_running = max(128, int((450 if quick else 750) * min(scale, 1.0)))
-    trace_queries = max(12, int((30 if quick else 60) * scale))
     trace_jobs = max(120, int((600 if quick else 2_500) * scale))
 
     cases = [
@@ -581,16 +445,6 @@ def build_cases(
             run_once=lambda: _run_e2e("conservative", e2e_jobs),
             repeats=5 if quick else 3,
             tags=("e2e",),
-        ),
-        PerfCase(
-            name="trace_scan_kernel",
-            description=f"earliest_start x{trace_queries} on a "
-            f"{_TRACE_NODES}-node grid ({trace_running} running; "
-            "extra: scalar vs numpy split)",
-            run_once=lambda: _run_trace_scans(trace_running, trace_queries),
-            repeats=5,
-            tags=("trace", "micro"),
-            extra=lambda: _trace_scan_extra(trace_running, trace_queries),
         ),
         PerfCase(
             name="trace_replay",

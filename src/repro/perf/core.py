@@ -44,9 +44,9 @@ class PerfCase:
     """One named measurement unit.
 
     ``extra`` (optional) runs once after the repeats and returns a dict
-    merged into the case's payload record — the hook trace-scale cases
-    use to surface kernel mode, grid-size percentiles, and scalar/numpy
-    split timings next to the gated wall-clock numbers.  Extra keys are
+    merged into the case's payload record — the hook the trace-scale
+    case uses to surface grid-size percentiles next to the gated
+    wall-clock numbers.  Extra keys are
     informational: :func:`compare_reports` only reads ``normalized``,
     so they never participate in the regression gate.
     """
@@ -68,17 +68,11 @@ class PerfReport:
     cases: Dict[str, dict] = field(default_factory=dict)
 
     def to_payload(self) -> dict:
-        from ..sched.profile import get_kernel
-
         return {
             "schema": SCHEMA_VERSION,
             "mode": self.mode,
             "python": sys.version.split()[0],
             "platform": platform.platform(),
-            # Which sweep kernel produced these numbers: baselines are
-            # only comparable within a kernel, and a CI runner missing
-            # numpy would otherwise silently bench the scalar anchor.
-            "profile_kernel": get_kernel(),
             "calibration_ms": round(self.calibration_s * 1e3, 3),
             "cases": self.cases,
         }

@@ -28,13 +28,13 @@ pass's :class:`~repro.sched.profile.SweepCursor` (no
 add-query-remove round-trip on the reservation index).
 
 Every scan of a pass — EASY's shadow and trials, conservative's
-per-job reservation scans and replay probes — goes through the pass
-transaction's shared sweep cursor (``ctx.transaction.sweep``), so the
+per-job reservation scans and replay probes — goes through the
+profile's shared sweep cursor (``profile.sweep_cursor()``), so the
 release/reservation timeline is walked once per pass instead of once
 per queued job.  Conservative backfill goes one step further: its
 reservation plan is a **persistent, diffed structure** — teardown
-retains the standing reservations (and the cursor's materialized
-states) instead of clearing them, and the next pass patches only the
+retains the standing reservations instead of clearing them, and the
+next pass patches only the
 entries a perturbation can reach (see
 :class:`ConservativeBackfill` for the replay doors and their
 soundness arguments; ``docs/ARCHITECTURE.md`` for the full map).
@@ -52,7 +52,6 @@ import abc
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..memdis.allocator import GlobalPoolAllocator
 from ..memdis.split import MemorySplit
 from ..workload.job import Job
 from .base import Scheduler, SchedulerContext, StartDecision
@@ -216,30 +215,20 @@ class NoBackfill(BackfillStrategy):
 
 
 class _ShadowPlan:
-    """The cached head shadow plus its fold-perturbation ledger.
+    """The cached head shadow, valid while its profile is unmutated.
 
-    The EASY analogue of the conservative plan ledger
-    (:class:`_ReservationPlan`), for the one number EASY retains
-    across passes: the head's shadow.  ``m_bound`` is the shadow
-    scan's per-node perturbation bound — the largest achievable
-    free-node count at any breakpoint the scan rejected below the
-    shadow, demand-sentinel-poisoned by pool-capacity rejections —
-    and ``p_bound`` the pool-level analogue (the count-only maximum,
-    kept only when pool rejections occurred, ``None`` otherwise).
-    ``fold_nodes`` / ``fold_pool`` accumulate the nodes and pool MiB
-    completion folds returned since the scan; ``mutations`` is
-    re-stamped on every fold the shadow survives, so the hit check in
-    :meth:`EasyBackfill._shadow_of` stays a plain equality.
+    ``mutations`` stamps the profile's mutation count at the scan: any
+    start or completion fold bumps it and so voids the shadow, which
+    keeps the hit check in :meth:`EasyBackfill._shadow_of` a plain
+    equality.
     """
 
     __slots__ = (
-        "profile", "mutations", "head_id", "split", "dur", "shadow",
-        "now", "need", "m_bound", "p_bound", "fold_nodes", "fold_pool",
+        "profile", "mutations", "head_id", "split", "dur", "shadow", "now",
     )
 
     def __init__(
         self, profile, mutations, head_id, split, dur, shadow, now,
-        need, m_bound, p_bound,
     ) -> None:
         self.profile = profile
         self.mutations = mutations
@@ -248,11 +237,6 @@ class _ShadowPlan:
         self.dur = dur
         self.shadow = shadow
         self.now = now
-        self.need = need
-        self.m_bound = m_bound
-        self.p_bound = p_bound
-        self.fold_nodes = 0
-        self.fold_pool = 0
 
 
 class EasyBackfill(BackfillStrategy):
@@ -275,19 +259,12 @@ class EasyBackfill(BackfillStrategy):
         # mid-pass ``apply_start`` fold is bit-equivalent to a rebuild,
         # so the cache is re-stamped after a pass's last fold.  The
         # shadow cache layers on top (see :class:`_ShadowPlan`), keyed
-        # by the profile object, its mutation count, and the head job;
-        # completion folds age it through ``on_release`` instead of
-        # unconditionally invalidating it.
+        # by the profile object, its mutation count, and the head job.
         self._profile_cache: Optional[tuple] = None
         self._shadow_cache: Optional[_ShadowPlan] = None
         #: Shadow-cache counters (exposed for tests and audits):
-        #: ``reused`` counts hits, ``recompute`` full head scans,
-        #: ``fold_survived`` completion folds the cached shadow
-        #: provably survived, ``fold_dropped`` folds that voided it.
-        self.shadow_stats = {
-            "reused": 0, "recompute": 0,
-            "fold_survived": 0, "fold_dropped": 0,
-        }
+        #: ``reused`` counts hits, ``recompute`` full head scans.
+        self.shadow_stats = {"reused": 0, "recompute": 0}
 
     def run(self, ctx: SchedulerContext, sched: Scheduler) -> List[StartDecision]:
         if ctx.cluster.free_node_count == 0 and sched.queue_policy.stateless:
@@ -356,7 +333,7 @@ class EasyBackfill(BackfillStrategy):
             # Bounded scan: only "can the head still start by the
             # shadow?" matters, so stop at the shadow instead of
             # walking the whole timeline on a rejection.
-            head_retry = ctx.transaction.sweep(profile).earliest_start(
+            head_retry = profile.sweep_cursor().earliest_start(
                 head,
                 head_dur,
                 head_split.remote,
@@ -378,104 +355,6 @@ class EasyBackfill(BackfillStrategy):
             self._profile_cache = (ctx.cluster, ctx.cluster.version, profile)
         return started
 
-    def on_release(
-        self,
-        sched: Scheduler,
-        cluster,
-        job: Job,
-        now: float,
-        version_before: int,
-    ) -> Optional[float]:
-        folded_end = super().on_release(sched, cluster, job, now, version_before)
-        plan = self._shadow_cache
-        if plan is None:
-            return folded_end
-        if folded_end is None:
-            # The fold failed or there was no profile cache: the next
-            # pass rebuilds the profile, so the shadow cannot hit on
-            # its identity stamp anyway.  Drop it eagerly.
-            self._shadow_cache = None
-            return folded_end
-        # The shadow stays coherent only if it was stamped against the
-        # state just before this fold (the fold bumped the mutation
-        # count by one) on the very profile the cache holds.
-        profile = plan.profile
-        if (
-            self._profile_cache is None
-            or self._profile_cache[2] is not profile
-            or plan.mutations != profile.mutation_count - 1
-        ):
-            self._shadow_cache = None
-            return folded_end
-        if self._shadow_survives(sched, cluster, job, folded_end, plan, profile):
-            plan.mutations = profile.mutation_count
-            plan.fold_nodes += len(job.assigned_nodes)
-            plan.fold_pool += sum(job.pool_grants.values())
-            self.shadow_stats["fold_survived"] += 1
-        else:
-            self._shadow_cache = None
-            self.shadow_stats["fold_dropped"] += 1
-        return folded_end
-
-    @staticmethod
-    def _shadow_survives(
-        sched: Scheduler,
-        cluster,
-        job: Job,
-        folded_end: float,
-        plan: _ShadowPlan,
-        profile: AvailabilityProfile,
-    ) -> bool:
-        """Whether the cached shadow provably equals a fresh head scan
-        after folding this completion.
-
-        A release fold moves the folded entry's nodes and grants from
-        a future breakpoint into base availability: states strictly
-        before ``folded_end`` gain exactly those resources, states at
-        or beyond it are bit-identical, and no breakpoint ever
-        *appears*.  So only the scan's rejected prefix can flip:
-
-        * ``shadow is None`` — the head did not fit even the empty
-          machine, and folds do not change machine composition.
-        * The **per-node door**: every rejected breakpoint had at most
-          ``m_bound`` achievable free nodes (sentinel-poisoned to the
-          head's demand by pool rejections), and completion folds have
-          freed ``fold_nodes`` more since; while their sum stays under
-          the demand, every rejection stands.
-        * The **pool door**, for pool-rejecting scans (mirroring the
-          conservative plan's): sound only when the allocator's
-          verdict is node-identity-independent, a pool verdict can
-          flip only if pool availability rose — so zero pool MiB may
-          have folded — and count-limited rejections fall back to the
-          count-only bound ``p_bound``.
-
-        Separately, a fold at the shadow instant itself may remove the
-        very breakpoint the scan accepted.  The instant stays feasible
-        (its state is unchanged), but a fresh scan only visits
-        breakpoints and would answer a different one — the shadow
-        survives a coincident fold only if another release still
-        breaks there.
-        """
-        shadow = plan.shadow
-        if shadow is None:
-            return True
-        folded_nodes = plan.fold_nodes + len(job.assigned_nodes)
-        folded_pool = plan.fold_pool + sum(job.pool_grants.values())
-        if plan.m_bound + folded_nodes < plan.need:
-            pass
-        elif (
-            plan.p_bound is not None
-            and not folded_pool
-            and plan.p_bound + folded_nodes < plan.need
-            and type(sched.resolve_allocator(cluster)) is GlobalPoolAllocator
-        ):
-            pass
-        else:
-            return False
-        if folded_end == shadow and not profile.has_release_at(shadow):
-            return False
-        return True
-
     def _shadow_of(
         self, ctx: SchedulerContext, sched: Scheduler, head: Job
     ) -> Tuple[AvailabilityProfile, "MemorySplit", float, Optional[float]]:
@@ -491,10 +370,9 @@ class EasyBackfill(BackfillStrategy):
         infeasible up to its cached shadow — a fresh scan would return
         the same reservation start.  A shadow equal to the compute
         instant (possible under a gate veto) is never reused, because
-        a fresh scan would move it to the new instant; the same check
-        against the *current* instant guards shadows aged across
-        completion folds (``on_release``), which keep the cache alive
-        while the fold ledger proves a fresh scan unchanged.
+        a fresh scan would move it to the new instant.  Any start or
+        completion fold bumps the profile's mutation count and so
+        forces a fresh head scan.
         """
         profile = self._cycle_profile(ctx, sched)
         plan = self._shadow_cache
@@ -503,10 +381,7 @@ class EasyBackfill(BackfillStrategy):
                 plan.profile is profile
                 and plan.mutations == profile.mutation_count
                 and plan.head_id == head.job_id
-                and (
-                    plan.shadow is None
-                    or (plan.shadow > plan.now and plan.shadow > ctx.now)
-                )
+                and (plan.shadow is None or plan.shadow > plan.now)
             ):
                 self.shadow_stats["reused"] += 1
                 return profile, plan.split, plan.dur, plan.shadow
@@ -514,8 +389,7 @@ class EasyBackfill(BackfillStrategy):
         allocator = sched.resolve_allocator(cluster)
         head_split = sched.split_for(head, cluster)
         head_dur = sched.est_duration(head, cluster, split=head_split)
-        sweep = ctx.transaction.sweep(profile)
-        head_res = sweep.earliest_start(
+        head_res = profile.sweep_cursor().earliest_start(
             head,
             head_dur,
             head_split.remote,
@@ -527,17 +401,10 @@ class EasyBackfill(BackfillStrategy):
         if head_res is not None:
             shadow = head_res.start
             ctx.record_promise(head.job_id, shadow)
-        # Pool-level bound: the count-only maximum, kept only when a
-        # pool-capacity rejection occurred (its sentinel poisons
-        # ``m_bound``); mirrors the conservative entry bounds.
-        p_bound: Optional[int] = None
-        if sweep.last_scan_pool_rejects:
-            p_bound = sweep.last_scan_count_reject
         self.shadow_stats["recompute"] += 1
         self._shadow_cache = _ShadowPlan(
             profile, profile.mutation_count, head.job_id,
             head_split, head_dur, shadow, ctx.now,
-            head.nodes, sweep.last_scan_max_reject, p_bound,
         )
         return profile, head_split, head_dur, shadow
 
@@ -548,13 +415,11 @@ class _ReservationPlan:
     teardown; ``on_release`` mutates it in place as completions fold.
 
     ``entries`` is the previous pass's processed window as
-    ``(job, reservation | None, duration, remote, m_bound, p_bound)``
-    tuples — ``m_bound`` is the per-node perturbation bound (largest
-    achievable free-node count at any rejected breakpoint below the
-    reservation's start, demand-sentinel-poisoned by pool rejections),
-    ``p_bound`` the pool-level analogue (the count-only maximum, kept
-    only when pool-capacity rejections occurred; ``None`` otherwise or
-    when poisoned).  The ledger fields age those bounds:
+    ``(job, reservation | None, duration, remote, m_bound)`` tuples —
+    ``m_bound`` is the per-node perturbation bound (largest achievable
+    free-node count at any rejected breakpoint below the reservation's
+    start, demand-sentinel-poisoned by pool rejections; ``None`` when
+    voided).  The ledger fields age that bound:
 
     * ``horizon`` — the largest release time perturbed since the
       entries were derived (completion folds, superseded or planted
@@ -565,17 +430,14 @@ class _ReservationPlan:
       folds; while ``m_bound + fold_nodes`` (plus pass-local
       divergence nodes) stays under a job's demand, no breakpoint
       below its cached start can have become feasible;
-    * ``fold_pool`` — pool MiB released below the horizon by
-      completion folds; any nonzero value shuts the pool-level door
-      (pool-capacity rejections may have flipped);
     * ``retained`` — whether the profile still physically holds the
       entries' reservations (the persistent plan): set at teardown,
       consumed by the next pass's retained fast path.
     """
 
     __slots__ = (
-        "profile", "mutations", "horizon", "entries",
-        "fold_nodes", "fold_pool", "retained",
+        "profile", "mutations", "horizon", "entries", "fold_nodes",
+        "retained",
     )
 
     def __init__(
@@ -591,7 +453,6 @@ class _ReservationPlan:
         self.horizon = horizon
         self.entries = entries
         self.fold_nodes = 0
-        self.fold_pool = 0
         self.retained = retained
 
 
@@ -619,11 +480,12 @@ class ConservativeBackfill(BackfillStrategy):
     next cycle reuses the profile object through the shared cache.
 
     **Layer 2 — the persistent reservation plan.**  Teardown does
-    *not* clear the standing reservations: they — and the pass-shared
-    :class:`~repro.sched.profile.SweepCursor`'s materialized
-    breakpoint states — survive into the next pass.  A pass that
-    starts from a provably unchanged profile diffs the queue against
-    the retained plan instead of re-deriving it:
+    *not* clear the standing reservations: they survive into the next
+    pass (and so does the shared
+    :class:`~repro.sched.profile.SweepCursor`, unless a start or
+    completion fold dropped it in between).  A pass that starts from a
+    provably unchanged profile diffs the queue against the retained
+    plan instead of re-deriving it:
 
     * while the prefix replays (same job, same duration, reservation
       start beyond the probe cap, anchor infeasible), the standing
@@ -655,24 +517,13 @@ class ConservativeBackfill(BackfillStrategy):
       earlier breakpoint on *node counts* resumes at its cached start
       while ``m_bound + freed nodes`` stays under its demand — folds
       only add those nodes, everything else the replay permits only
-      removes availability;
-    * the **pool door** (the pool-level perturbation bound): entries
-      whose scans rejected some breakpoints on *pool capacity* are
-      excluded from the per-node door (placement identity can flip
-      under any free-set change), but when the allocator's verdict is
-      node-identity-independent — a ``GlobalPoolAllocator``, whose
-      plan is a pure function of the global pool level and the node
-      count — a pool-capacity rejection can only flip if pool
-      availability *rose* below the horizon.  So such an entry resumes
-      at its cached start when the count-only bound (``p_bound``)
-      holds **and** zero pool MiB was released below the horizon
-      (completion folds of pool-holding jobs, superseded reservations
-      carrying grants); reservations planted meanwhile only *consume*
-      pool, and node-only folds leave every pool level bit-identical.
+      removes availability.  Entries whose scans rejected some
+      breakpoint on *pool capacity* carry the demand sentinel and
+      always take the probe door.
 
-    Every scan of the pass runs through the transaction's shared
-    :class:`~repro.sched.profile.SweepCursor`; in a fully-replayed
-    pass the cursor's materialized states are never rebuilt at all.
+    Every scan of the pass runs through the profile's shared
+    :class:`~repro.sched.profile.SweepCursor`; across a fully-replayed
+    pass that folds nothing, its materialized states are never rebuilt.
     """
 
     name = "conservative"
@@ -685,16 +536,15 @@ class ConservativeBackfill(BackfillStrategy):
         #: The retained cross-pass plan (see :class:`_ReservationPlan`).
         self._plan: Optional[_ReservationPlan] = None
         #: Replay-path counters (exposed for tests and audits).
-        #: ``per_node`` / ``pool`` count uses of the respective
-        #: perturbation bound (as a scan-free probe proof or as a
-        #: resume-at-cached-start floor); ``probe`` counts replays
-        #: validated by the anchor count or a real bounded probe;
-        #: ``recompute`` counts full scans.  ``retained`` additionally
-        #: counts replays validated *in place* on the persistent plan
-        #: (no ``add_reservation``) — it overlaps the door counters.
+        #: ``per_node`` counts uses of the per-node perturbation bound
+        #: (as a scan-free probe proof or as a resume-at-cached-start
+        #: floor); ``probe`` counts replays validated by the anchor
+        #: count or a real bounded probe; ``recompute`` counts full
+        #: scans.  ``retained`` additionally counts replays validated
+        #: *in place* on the persistent plan (no ``add_reservation``)
+        #: — it overlaps the door counters.
         self.replay_stats = {
-            "retained": 0, "probe": 0, "per_node": 0, "pool": 0,
-            "recompute": 0,
+            "retained": 0, "probe": 0, "per_node": 0, "recompute": 0,
         }
 
     def on_release(
@@ -722,7 +572,6 @@ class ConservativeBackfill(BackfillStrategy):
                 if folded_end > plan.horizon:
                     plan.horizon = folded_end
                 plan.fold_nodes += len(job.assigned_nodes)
-                plan.fold_pool += sum(job.pool_grants.values())
         return folded_end
 
     def run(self, ctx: SchedulerContext, sched: Scheduler) -> List[StartDecision]:
@@ -755,7 +604,6 @@ class ConservativeBackfill(BackfillStrategy):
         cached_entries: Optional[list] = None
         cap = now
         fold_nodes = 0
-        fold_pool = 0
         if (
             plan is not None
             and plan.profile is profile
@@ -765,16 +613,14 @@ class ConservativeBackfill(BackfillStrategy):
             if plan.horizon > cap:
                 cap = plan.horizon
             fold_nodes = plan.fold_nodes
-            fold_pool = plan.fold_pool
         tracking = cached_entries is not None
 
         # The retained fast path: the previous pass left its standing
-        # reservations — and the cursor's materialized states — in the
-        # profile.  While the plan is provably unchanged and no
-        # retained reservation is due at or before *now*, the prefix
-        # walk below validates each standing reservation in place
-        # instead of re-adding it: zero reservation-index work and
-        # zero cursor re-materialization for the replayed majority.
+        # reservations in the profile.  While the plan is provably
+        # unchanged and no retained reservation is due at or before
+        # *now*, the prefix walk below validates each standing
+        # reservation in place instead of re-adding it: zero
+        # reservation-index work for the replayed majority.
         # The cap may sit beyond *now* (completion folds re-stamp the
         # plan while raising the horizon): in-place validation then
         # rests on the scan-free bound proofs alone — the anchor-count
@@ -797,11 +643,11 @@ class ConservativeBackfill(BackfillStrategy):
         retained = 0  # standing reservations validated so far (prefix)
 
         # The pass's one merged availability sweep: every scan below —
-        # replay probes, per-node/pool resumes, and full scans alike —
-        # runs through this cursor, sharing the materialized
-        # breakpoint states across all queued jobs (and, on the
-        # retained fast path, across passes).
-        sweep = ctx.transaction.sweep(profile)
+        # replay probes, per-node resumes, and full scans alike — runs
+        # through this cursor, sharing the materialized breakpoint
+        # states across all queued jobs (and, on the retained fast
+        # path, across passes that fold nothing in between).
+        sweep = profile.sweep_cursor()
 
         def spill() -> None:
             """Drop the not-yet-validated retained suffix.
@@ -816,7 +662,7 @@ class ConservativeBackfill(BackfillStrategy):
             if live:
                 live = False
                 profile.truncate_reservations(retained)
-                sweep = ctx.transaction.sweep(profile)
+                sweep = profile.sweep_cursor()
 
         # Resume points: while the queue prefix and the profile are
         # provably unchanged, each cached reservation is exact iff a
@@ -841,26 +687,9 @@ class ConservativeBackfill(BackfillStrategy):
         # under the job's node demand — so the fresh scan can resume
         # *at* the cached start instead of walking the whole prefix,
         # however far out the fold time horizon sits.
-        #
-        # The pool-level bound is the third door, for entries the
-        # per-node sentinel excludes (their scans rejected some
-        # breakpoints on pool capacity).  Sound only when the
-        # allocator's verdict is node-identity-independent — the
-        # global allocator's plan is a pure function of the global
-        # pool level and the node count, so placement identity drift
-        # under freed nodes cannot flip it.  A pool-capacity rejection
-        # then flips only if pool availability rose below the horizon:
-        # completion folds carrying grants and superseded reservations
-        # carrying grants are the only such sources the replay
-        # permits (``fold_pool`` / ``c_pool``); node-only folds leave
-        # every pool level bit-identical, and reservations planted
-        # meanwhile only consume pool.  Count-limited rejections are
-        # still covered by the count-only bound ``p_bound``.
         c_extra = 0  # pass-local node releases from divergences
-        c_pool = 0   # pass-local pool MiB released by divergences
         start_ends: dict = {}  # job_id -> in-pass claim end, per start
         claims: List[Reservation] = []  # in-pass claims, removed at teardown
-        pool_door = type(allocator) is GlobalPoolAllocator
 
         # On a pool-unmetered machine, pool pressure is identically
         # zero, so a job's duration estimate is a pure function of its
@@ -892,7 +721,6 @@ class ConservativeBackfill(BackfillStrategy):
             # is byte-identical to a fresh one.
             res_after: Optional[float] = None
             m_floor = 0
-            p_floor: Optional[int] = None
             if entry is not None and entry[2] == dur:
                 cached_res = entry[1]
                 if cached_res is None:
@@ -908,17 +736,16 @@ class ConservativeBackfill(BackfillStrategy):
                     ):  # pragma: no cover - defensive; invariant-kept
                         spill()
                     # The probe's whole range [now, cap] lies strictly
-                    # below the cached start, so the perturbation
-                    # bounds that justify resuming *at* the start also
-                    # prove the probe's verdict without running it:
+                    # below the cached start, so the per-node bound
+                    # that justifies resuming *at* the start also
+                    # proves the probe's verdict without running it:
                     # every breakpoint in the range was rejected by
                     # the deriving scan, and since then availability
-                    # rose by at most ``fold_nodes + c_extra`` nodes
-                    # (per-node proof) and — under the pool door —
-                    # zero pool MiB (pool proof).  Failing both, a
-                    # probe capped at *now* still has one candidate —
-                    # the anchor — so a free-node count below the
-                    # demand decides it with one compare.  (On the
+                    # rose by at most ``fold_nodes + c_extra`` nodes.
+                    # Failing that proof, a probe capped at *now*
+                    # still has one candidate — the anchor — so a
+                    # free-node count below the demand decides it
+                    # with one compare.  (On the
                     # retained fast path no reservation is active at
                     # the anchor, so that count is identical with or
                     # without the standing suffix.)  Only when every
@@ -931,15 +758,6 @@ class ConservativeBackfill(BackfillStrategy):
                     ):
                         probe = None
                         door = "per_node"
-                    elif (
-                        pool_door
-                        and entry[5] is not None
-                        and not fold_pool
-                        and not c_pool
-                        and entry[5] + fold_nodes + c_extra < job.nodes
-                    ):
-                        probe = None
-                        door = "pool"
                     elif cap <= now and sweep.count_at_anchor() < job.nodes:
                         probe = None
                     else:
@@ -958,20 +776,13 @@ class ConservativeBackfill(BackfillStrategy):
                             profile.add_reservation(cached_res)
                         replay_stats[door] += 1
                         ctx.record_promise(job.job_id, cached_res.start)
-                        # Age the bounds by every release accrued
-                        # since the entry was derived; pool releases
-                        # void the (binary) pool-level premise.
+                        # Age the bound by every release accrued
+                        # since the entry was derived.
                         m_bound = entry[4]
                         if m_bound is not None:
                             m_bound = m_bound + fold_nodes + c_extra
-                        p_bound = entry[5]
-                        if p_bound is not None:
-                            if fold_pool or c_pool:
-                                p_bound = None
-                            else:
-                                p_bound = p_bound + fold_nodes + c_extra
                         entries.append(
-                            (job, cached_res, dur, entry[3], m_bound, p_bound)
+                            (job, cached_res, dur, entry[3], m_bound)
                         )
                         continue
                     # Startable at or before the cap: fall through to
@@ -990,23 +801,6 @@ class ConservativeBackfill(BackfillStrategy):
                         res_after = cached_res.start
                         m_floor = entry[4] + fold_nodes + c_extra
                         replay_stats["per_node"] += 1
-                    elif (
-                        pool_door
-                        and entry[4] is not None
-                        and entry[5] is not None
-                        and not fold_pool
-                        and not c_pool
-                        and entry[5] + fold_nodes + c_extra < job.nodes
-                    ):
-                        # Pool-level bound holds: every count-limited
-                        # rejection below the cached start stays
-                        # count-limited, and every pool-capacity
-                        # rejection stays capacity-limited because no
-                        # pool MiB returned below the horizon.
-                        res_after = cached_res.start
-                        m_floor = entry[4] + fold_nodes + c_extra
-                        p_floor = entry[5] + fold_nodes + c_extra
-                        replay_stats["pool"] += 1
             if res_after is None:
                 replay_stats["recompute"] += 1
             spill()
@@ -1017,35 +811,22 @@ class ConservativeBackfill(BackfillStrategy):
             max_reject = sweep.last_scan_max_reject
             if max_reject < m_floor:
                 max_reject = m_floor
-            # Pool-level bound for the new entry: the count-only
-            # maximum over the scanned segment and the resumed
-            # prefix, kept only when a pool-capacity rejection
-            # occurred in either.
-            if sweep.last_scan_pool_rejects or p_floor is not None:
-                p_bound = sweep.last_scan_count_reject
-                prefix_floor = p_floor if p_floor is not None else m_floor
-                if p_bound < prefix_floor:
-                    p_bound = prefix_floor
-            else:
-                p_bound = None
             if entry is None or entry[2] != dur or res != entry[1]:
                 # This position diverged from the cached plan.  The
                 # divergence perturbs evaluation only below the later
                 # of the two reservations' ends, so later cached
                 # entries stay usable behind an escalated probe cap;
-                # for the perturbation bounds it acts like a fold
-                # freeing the superseded reservation's nodes and
-                # grants (the replacement only adds claims).
+                # for the per-node bound it acts like a fold freeing
+                # the superseded reservation's nodes (the replacement
+                # only adds claims).
                 if entry is not None and entry[1] is not None:
                     old_res = entry[1]
                     if old_res.end > cap:
                         cap = old_res.end
                     c_extra += len(old_res.node_ids)
-                    for _pool_id, amount in old_res.pool_grants:
-                        c_pool += amount
                 if res is not None and res.end > cap:
                     cap = res.end
-            entries.append((job, res, dur, split.remote, max_reject, p_bound))
+            entries.append((job, res, dur, split.remote, max_reject))
             if res is None:
                 continue  # cannot run even empty; engine rejects at submit
             if res.start <= now + _EPS:
@@ -1106,15 +887,12 @@ class ConservativeBackfill(BackfillStrategy):
             if est_end < start_ends[job.job_id]:
                 # The realized fold ends before the in-pass claim did
                 # (pressure drift on a metered machine): availability
-                # *rose* in between, which the perturbation bounds
-                # cannot see — the time cap covers it, the counters do
-                # not.  Void them; the probe path is unaffected.
+                # *rose* in between, which the per-node bound cannot
+                # see — the time cap covers it, the counter does not.
+                # Void it; the probe path is unaffected.
                 m_poison = True
         if m_poison:
-            entries = [
-                (entry[0], entry[1], entry[2], entry[3], None, None)
-                for entry in entries
-            ]
+            entries = [entry[:4] + (None,) for entry in entries]
         self._profile_cache = (ctx.cluster, ctx.cluster.version, profile)
         self._plan = _ReservationPlan(
             profile, profile.mutation_count, pass_horizon, entries,

@@ -130,26 +130,20 @@ class StartDecision:
 class PassTransaction:
     """One scheduling pass as an atomic decision unit across layers.
 
-    The sched layer anchors the pass's **single merged availability
-    sweep** here (:meth:`sweep` hands out the profile's shared
-    :class:`~repro.sched.profile.SweepCursor`, so EASY and
-    conservative backfill walk the release/reservation timeline once
-    per pass for all queued jobs); strategies and gates share per-pass
-    derived state (:meth:`next_pool_release`); and the engine reads
+    Strategies and gates share per-pass derived state here
+    (:meth:`next_pool_release`), and the engine reads
     :attr:`decisions` at pass end to batch-apply the calendar, ledger,
     and queue side effects in one commit
     (:meth:`repro.engine.simulation.SchedulerSimulation._commit_pass`).
 
     A transaction lives for exactly one pass — but the state it hands
-    out increasingly *spans* passes: the sweep cursor belongs to the
-    profile (which conservative backfill retains, reservations and
-    materialized states included, across cycles), and the gates'
-    next-pool-release scan is seeded from a stamp-keyed cross-pass
-    cache (:class:`~repro.sched.memaware.StartGate`).  The transaction
-    is the per-pass *access point* and consistency scope, not the
-    owner of those lifetimes.  Contexts built without one (tests,
-    ad-hoc tooling) create their own, so strategies can rely on it
-    unconditionally.
+    out may *span* passes: the gates' next-pool-release scan is seeded
+    from a stamp-keyed cross-pass cache
+    (:class:`~repro.sched.memaware.StartGate`).  The pass's shared
+    sweep cursor is not handed out here: it belongs to the profile
+    (:meth:`~repro.sched.profile.AvailabilityProfile.sweep_cursor`).
+    Contexts built without a transaction (tests, ad-hoc tooling)
+    create their own, so strategies can rely on it unconditionally.
     """
 
     __slots__ = ("decisions", "_pool_rel_len", "_pool_rel_min")
@@ -160,18 +154,6 @@ class PassTransaction:
         self.decisions: List[StartDecision] = []
         self._pool_rel_len: Optional[int] = None
         self._pool_rel_min: Optional[float] = None
-
-    @staticmethod
-    def sweep(profile: AvailabilityProfile):
-        """The pass's shared sweep cursor over ``profile``.
-
-        Delegates to :meth:`AvailabilityProfile.sweep_cursor`; the
-        profile owns the cursor's lifetime (mutations it cannot track
-        in place drop it, ``rebase`` re-anchors it, and a retained
-        reservation plan carries it across passes), so the
-        transaction only provides the pass-scoped access point.
-        """
-        return profile.sweep_cursor()
 
     def next_pool_release(
         self, ctx: "SchedulerContext", sched: "Scheduler"
@@ -491,7 +473,7 @@ class Scheduler:
     def strategy_stats(self) -> Dict[str, Dict[str, int]]:
         """Backfill cache/replay counters, keyed by ledger.
 
-        EASY exposes ``shadow_stats`` (the shadow fold ledger),
+        EASY exposes ``shadow_stats`` (the head-shadow cache),
         conservative ``replay_stats`` (the retained-plan replay doors).
         Pure observability — the counters never feed decisions — and
         copied, so a stored result cannot alias the live dicts.

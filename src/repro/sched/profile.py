@@ -62,20 +62,15 @@ cursor's lifetime is no longer bounded by the pass either:
   (:meth:`SweepCursor._rebase`) — materialized states are pure
   functions of their instant, so advancing the clock only retires the
   grid prefix at or before the new anchor;
-* ``apply_start`` and ``apply_release`` are grid-local edits, so the
-  cursor absorbs both folds in place (:meth:`SweepCursor._on_apply_start`
-  / :meth:`SweepCursor._on_apply_release`): materialized states before
-  the folded release time gain or lose exactly the folded node set
-  (minus still-active reservation claims, for a release), states at or
-  beyond it only shift their release-timeline index, and the folded
-  time enters or leaves the breakpoint grid;
 * ``remove_reservation`` and a reservation-dropping
   ``truncate_reservations`` recompute only the materialized states the
   dropped claims could touch (:meth:`SweepCursor._on_remove`) and
   retire grid times that stop being breakpoints;
-* only ``clear_reservations`` — the stock pass's bulk teardown, which
-  the retained-plan fast path avoids — still drops the cursor; the
-  next scan rebuilds lazily.
+* ``apply_start``, ``apply_release`` and ``clear_reservations`` drop
+  the cursor; the next :meth:`AvailabilityProfile.sweep_cursor` call
+  rebuilds it lazily.  Patching the materialized states through a
+  release fold measured slower than this drop-and-rebuild, so a caller
+  that holds a cursor across a fold must re-fetch it.
 
 All query results are bitwise identical to the brute-force oracle
 (``tests/_oracles.py``); the equivalence suite enforces this on
@@ -89,17 +84,10 @@ after *now*; the classic "expected to end any moment" convention.
 
 from __future__ import annotations
 
-import os
-
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-try:  # the vectorized kernel is optional; the scalar path is complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
 
 from ..workload.job import Job
 
@@ -109,58 +97,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .placement import PlacementPolicy
 
 __all__ = [
-    "Reservation", "AvailabilityProfile", "SweepCursor",
-    "get_kernel", "set_kernel", "set_scan_observer",
+    "Reservation", "AvailabilityProfile", "SweepCursor", "set_scan_observer",
 ]
 
 _OVERRUN_GRACE = 1.0  # seconds: expected end for already-overrun jobs
 _EPS = 1e-9
-
-#: Sweep-kernel selection: ``numpy`` vectorizes the cursor's
-#: rejection walks over the materialized breakpoint grid, ``scalar``
-#: is the pure-Python reference the differential suites anchor on,
-#: and ``auto`` (the default) engages the vectorized walks only on
-#: grids of at least :data:`_VEC_FLOOR` breakpoints.  All modes
-#: produce bit-identical decisions and scan statistics; the flag
-#: exists so a kernel regression fails a cheap parity run loudly
-#: instead of leaking through a perf gate.  Selection is sampled per
-#: cursor at construction (one cursor never mixes kernels mid-life).
-_KERNELS = ("auto", "numpy", "scalar")
-
-#: Grid-size floor for the ``auto`` kernel.  Vectorizing a rejection
-#: walk trades a per-element Python loop (~0.3 µs/breakpoint once
-#: materialized) for a handful of fixed-overhead array operations
-#: (~30 µs per scan).  Re-measured on the trace-scale bench
-#: (``trace_scan_kernel``: saturated 1024-node machine, near-machine-
-#: width shadow scans walking the full grid): below the floor the
-#: scalar walk always wins; between ~100 and ~400 breakpoints the two
-#: are within host noise of each other; from ~450 up the vector walk
-#: wins 1.5–2.2× and the gap widens with grid size.  The reference
-#: 10k-job W-MIX simulations never exceed ~60-breakpoint grids
-#: (measured p99 under 50), so ``auto`` runs them entirely on the
-#: scalar walk — the vector paths are a *scale* layer for paper-grid
-#: clusters with hundreds of concurrent releases, not a win at every
-#: size.  ``numpy`` (forced) ignores the floor so parity suites
-#: exercise the vector code on deliberately tiny grids.
-_VEC_FLOOR = 96
-
-
-def _default_kernel() -> str:
-    name = os.environ.get("REPRO_PROFILE_KERNEL", "")
-    if name:
-        if name not in _KERNELS:
-            raise ValueError(
-                f"REPRO_PROFILE_KERNEL={name!r}: expected one of {_KERNELS}"
-            )
-        if name == "numpy" and _np is None:
-            raise ValueError("REPRO_PROFILE_KERNEL=numpy but numpy is missing")
-        if name == "auto" and _np is None:
-            return "scalar"
-        return name
-    return "auto" if _np is not None else "scalar"
-
-
-_KERNEL = _default_kernel()
 
 #: Optional per-scan observer (see :func:`set_scan_observer`).  ``None``
 #: in normal operation — the cursor's hot path pays one identity check.
@@ -172,39 +113,15 @@ def set_scan_observer(
 ) -> Optional[Callable[[int], None]]:
     """Install a callback receiving every cursor scan's grid size.
 
-    The perf harness uses this to report breakpoint-grid percentiles —
-    the quantity that decides whether the ``auto`` kernel's vector
-    paths engage (:data:`_VEC_FLOOR`) — without instrumenting the
-    scheduler.  Pass ``None`` to uninstall; returns the previous
-    observer so callers can restore it.  The observer must not mutate
-    scheduler state.
+    The perf harnesses use this to report breakpoint-grid percentiles
+    — how many candidate instants a scan may walk — without
+    instrumenting the scheduler.  Pass ``None`` to uninstall; returns
+    the previous observer so callers can restore it.  The observer
+    must not mutate scheduler state.
     """
     global _SCAN_OBSERVER
     previous = _SCAN_OBSERVER
     _SCAN_OBSERVER = observer
-    return previous
-
-
-def get_kernel() -> str:
-    """The sweep-kernel new cursors will use
-    (``auto`` | ``numpy`` | ``scalar``)."""
-    return _KERNEL
-
-
-def set_kernel(name: str) -> str:
-    """Select the sweep kernel for cursors built from here on; returns
-    the previous selection (so tests can restore it).  ``numpy``
-    forces the vector paths on every grid; ``auto`` floor-gates them
-    (:data:`_VEC_FLOOR`); ``scalar`` disables them."""
-    global _KERNEL
-    if name not in _KERNELS:
-        raise ValueError(f"unknown kernel {name!r}: expected one of {_KERNELS}")
-    if name == "numpy" and _np is None:
-        raise ValueError("numpy kernel requested but numpy is missing")
-    if name == "auto" and _np is None:
-        name = "scalar"
-    previous = _KERNEL
-    _KERNEL = name
     return previous
 
 
@@ -361,18 +278,6 @@ class AvailabilityProfile:
         """
         return self._reservations[index]
 
-    def has_release_at(self, time: float) -> bool:
-        """Whether some release entry breaks exactly at ``time`` (O(log n)).
-
-        Fold-ledger support: a completion fold at a cached scan's
-        accepted breakpoint may remove that instant from the grid
-        entirely — a fresh scan then answers a *different* breakpoint
-        even though the instant itself stays feasible.  Callers aging
-        such a cache must confirm the instant still breaks here.
-        """
-        i = bisect_left(self._rel_times, time)
-        return i < len(self._rel_times) and self._rel_times[i] == time
-
     def first_reservation_start(self) -> Optional[float]:
         """Earliest standing reservation start, or None (O(1)).
 
@@ -387,17 +292,17 @@ class AvailabilityProfile:
     def sweep_cursor(self) -> "SweepCursor":
         """The shared resumable sweep over this profile.
 
-        Created on first use and kept exact across every incremental
-        mutation: ``add_reservation`` patches claims in,
-        ``apply_start`` / ``apply_release`` fold release-timeline
-        edits through the materialized states, ``remove_reservation``
-        and a reservation-dropping ``truncate_reservations``
-        recompute only the touched window, and ``rebase`` re-anchors
-        the grid — so one cursor can span many passes and survive
-        completion folds in between.  Only ``clear_reservations``
-        drops it.  All cursor queries are bit-identical to the
-        corresponding profile queries — the cursor is pure
-        acceleration.
+        Created on first use and kept exact across the reservation
+        edits: ``add_reservation`` patches claims in,
+        ``remove_reservation`` and a reservation-dropping
+        ``truncate_reservations`` recompute only the touched window,
+        and ``rebase`` re-anchors the grid — so one cursor can span
+        many passes of a retained reservation plan.  The release folds
+        (``apply_start`` / ``apply_release``) and
+        ``clear_reservations`` drop it: a cursor fetched before a fold
+        is stale afterwards, and callers re-fetch it here.  All cursor
+        queries are bit-identical to the corresponding profile queries
+        — the cursor is pure acceleration.
         """
         cursor = self._cursor
         if cursor is None:
@@ -635,8 +540,7 @@ class AvailabilityProfile:
             self._grant_times.insert(gpos, est_end)
             self._grant_maps.insert(gpos, grants)
         self.mutation_count += 1
-        if self._cursor is not None:
-            self._cursor._on_apply_start(node_set, est_end)
+        self._cursor = None
 
     def apply_release(
         self,
@@ -704,8 +608,7 @@ class AvailabilityProfile:
             del self._grant_times[gpos]
             del self._grant_maps[gpos]
         self.mutation_count += 1
-        if self._cursor is not None:
-            self._cursor._on_apply_release(node_set, est_end)
+        self._cursor = None
         return True
 
     # ------------------------------------------------------------------
@@ -1149,47 +1052,28 @@ class SweepCursor:
       withdrawals (:meth:`_on_remove`) recompute the affected window
       instead, since claim folding is not invertible from the states
       alone;
-    * the release folds (:meth:`_on_apply_start` /
-      :meth:`_on_apply_release`) patch states with the same float
-      activity predicate :meth:`_state_at` evaluates and keep the
-      grid equal to ``profile.breakpoints()`` — a stale grid time
-      would be a phantom scan candidate and could move decisions;
+    * the release folds (:meth:`AvailabilityProfile.apply_start` /
+      :meth:`AvailabilityProfile.apply_release`) drop the cursor, so
+      the next :meth:`AvailabilityProfile.sweep_cursor` call builds a
+      fresh one over the folded timeline — a caller holding a cursor
+      across a fold must re-fetch it;
     * availability between adjacent grid times is constant (every
       release time and reservation bound ≥ *now* is a grid time), so
       evaluating a non-grid instant against the directly computed
       state is exact as well (used by ``after=`` resumes).
 
-    Scan statistics for the conservative plan cache's replay bounds
-    (all refreshed by every :meth:`earliest_start` call):
-
-    * :attr:`last_scan_max_reject` — the per-node bound: the largest
-      *achievable free-node count* observed at any rejected breakpoint
-      before the accepted start (count-pruned breakpoints contribute
-      their exact free count, window-rejected ones the windowed count,
-      and pool-capacity rejections the job's full node demand — a
-      sentinel that keeps the bound unusable, since those rejections
-      are not count-limited);
-    * :attr:`last_scan_count_reject` — the same maximum over the
-      count-limited rejections *only* (no sentinel).  Together with
-      :attr:`last_scan_pool_rejects` this feeds the pool-level bound:
-      when pool-capacity rejections occurred, the count-only maximum
-      still bounds every count-limited breakpoint, and the pool-
-      rejected ones are bounded separately through pool-release
-      accounting (see :class:`~repro.sched.backfill.
-      ConservativeBackfill`);
-    * :attr:`last_scan_pool_rejects` — how many breakpoints passed the
-      node-count checks but were rejected by the window-accept stage.
-      Placement policies never fail once the count check passed (they
-      only *order* nodes), so these are pool-capacity rejections: the
-      allocator could not cover the job's remote demand over the
-      window.
+    Scan statistic for the conservative plan cache's per-node replay
+    bound, refreshed by every :meth:`earliest_start` call:
+    :attr:`last_scan_max_reject` is the largest *achievable free-node
+    count* observed at any rejected candidate before the accepted
+    start.  Count-pruned candidates contribute their exact free count,
+    window-rejected ones the windowed count, and pool-capacity
+    rejections the job's full node demand — a sentinel that keeps the
+    bound unusable, since those rejections are not count-limited.
     """
 
     __slots__ = ("_p", "_times", "_free", "_counts", "_k",
-                 "_numpy", "_vec_floor", "_times_rev", "_grid_rev",
-                 "_np_rev", "_counts_np", "_nores_cache",
-                 "last_scan_max_reject", "last_scan_count_reject",
-                 "last_scan_pool_rejects")
+                 "last_scan_max_reject")
 
     def __init__(self, profile: AvailabilityProfile) -> None:
         self._p = profile
@@ -1201,22 +1085,7 @@ class SweepCursor:
         self._free: List[FrozenSet[int]] = []
         self._counts: List[int] = []
         self._k: List[int] = []
-        # Vectorized-kernel state (see module doc): the Python lists
-        # stay authoritative; numpy mirrors are rebuilt lazily when a
-        # revision counter says they went stale.  ``_times_rev``
-        # tracks grid-structure edits only (keys the full-grid count
-        # cache), ``_grid_rev`` additionally tracks materialized-state
-        # edits (keys the count mirror).
-        self._numpy = _KERNEL != "scalar" and _np is not None
-        self._vec_floor = 0 if _KERNEL == "numpy" else _VEC_FLOOR
-        self._times_rev = 0
-        self._grid_rev = 0
-        self._np_rev = -1
-        self._counts_np = None
-        self._nores_cache: Optional[tuple] = None
         self.last_scan_max_reject: int = 0
-        self.last_scan_count_reject: int = 0
-        self.last_scan_pool_rejects: int = 0
 
     # ------------------------------------------------------------------
     def _state_at(self, t: float) -> Tuple[FrozenSet[int], int]:
@@ -1261,7 +1130,6 @@ class SweepCursor:
             counts.append(len(state))
             ks.append(k)
             i += 1
-        self._grid_rev += 1
 
     def _insert_point(self, pos: int) -> None:
         """Materialize a freshly inserted grid time at ``pos``."""
@@ -1283,8 +1151,6 @@ class SweepCursor:
         reused verbatim; otherwise the anchor is computed directly
         against the same release sweep and reservation set.
         """
-        self._times_rev += 1
-        self._grid_rev += 1
         times = self._times
         drop = bisect_right(times, now)
         materialized = len(self._free)
@@ -1313,8 +1179,6 @@ class SweepCursor:
         already sees it; the subtraction over existing points is
         idempotent for them.
         """
-        self._times_rev += 1
-        self._grid_rev += 1
         times = self._times
         free = self._free
         anchor = times[0]
@@ -1341,88 +1205,6 @@ class SweepCursor:
                     free[j] = state
                     counts[j] = len(state)
 
-    def _on_apply_start(self, node_set: FrozenSet[int], est_end: float) -> None:
-        """Track an ``apply_start`` fold on the live profile, in place.
-
-        Called after the profile's own patch completed.  The fold's
-        effect on a point-in-time state is grid-local and exact:
-        states strictly before the new release lose the started job's
-        nodes (they left the base availability), states at or after it
-        are unchanged (the subtraction and the new release cancel) but
-        their release-timeline index shifts up by one, and the release
-        time joins the breakpoint grid.  The activity predicate is the
-        same float expression :meth:`_state_at` evaluates, so patched
-        entries are bit-identical to direct recomputation.
-        """
-        self._times_rev += 1
-        self._grid_rev += 1
-        times = self._times
-        free = self._free
-        counts = self._counts
-        ks = self._k
-        for j in range(len(free)):
-            if est_end <= times[j] + _EPS:
-                ks[j] += 1
-            else:
-                state = free[j]
-                if not state.isdisjoint(node_set):
-                    state = state - node_set
-                    free[j] = state
-                    counts[j] = len(state)
-        if est_end > times[0]:
-            pos = bisect_left(times, est_end)
-            if pos == len(times) or times[pos] != est_end:
-                times.insert(pos, est_end)
-                if pos < len(free):
-                    self._insert_point(pos)
-
-    def _on_apply_release(self, node_set: FrozenSet[int], est_end: float) -> None:
-        """Track an ``apply_release`` fold on the live profile, in place.
-
-        The inverse of :meth:`_on_apply_start`: states strictly before
-        the removed release gain the completed job's nodes — minus any
-        node a reservation active at that instant still claims — and
-        states at or after it only shift their release-timeline index
-        down.  The removed time leaves the grid unless another release
-        or a reservation bound still lands there (a stale grid time
-        would be a phantom candidate the stock scan never evaluates,
-        which can move ``earliest_start`` decisions).
-        """
-        self._times_rev += 1
-        self._grid_rev += 1
-        times = self._times
-        free = self._free
-        counts = self._counts
-        ks = self._k
-        p = self._p
-        claimants = [
-            res for res in p._reservations
-            if not node_set.isdisjoint(res.node_ids)
-        ]
-        for j in range(len(free)):
-            t = times[j]
-            if est_end <= t + _EPS:
-                ks[j] -= 1
-            else:
-                add = node_set
-                for res in claimants:
-                    if res.start <= t + _EPS and t < res.end - _EPS:
-                        add = add.difference(res.node_ids)
-                        if not add:
-                            break
-                if add:
-                    state = free[j] | add
-                    free[j] = state
-                    counts[j] = len(state)
-        pos = bisect_left(times, est_end)
-        if pos < len(times) and times[pos] == est_end and pos:
-            if not self._is_breakpoint(est_end):
-                del times[pos]
-                if pos < len(free):
-                    del free[pos]
-                    del counts[pos]
-                    del ks[pos]
-
     def _on_remove(self, dropped: Iterable[Reservation]) -> None:
         """Track withdrawn reservations on the live profile, in place.
 
@@ -1432,8 +1214,6 @@ class SweepCursor:
         the post-removal profile — only those instants can differ.
         Dropped bounds leave the grid when nothing else lands there.
         """
-        self._times_rev += 1
-        self._grid_rev += 1
         times = self._times
         free = self._free
         counts = self._counts
@@ -1472,217 +1252,6 @@ class SweepCursor:
         bounds = p._res_bounds
         i = bisect_left(bounds, t)
         return i < len(bounds) and bounds[i] == t
-
-    # -- vectorized kernel ---------------------------------------------
-    @staticmethod
-    def _assert_kernel_dtypes(times_arr, counts_arr) -> None:
-        """Guard against silent dtype degradation in the kernel arrays.
-
-        The breakpoint-time vector must stay float64 (an integer array
-        would re-round same-instant grouping and cannot carry ``inf``
-        release times) and every free-count vector must stay integer
-        (a float count would make the `>=` demand compares drift).
-        Checked every time a mirror is (re)built after fold patches —
-        cheap, and a corruption here silently moves decisions.
-        """
-        if times_arr is not None and times_arr.dtype != _np.float64:
-            raise AssertionError(
-                f"kernel breakpoint grid degraded to {times_arr.dtype}"
-            )
-        if counts_arr is not None and not _np.issubdtype(
-            counts_arr.dtype, _np.integer
-        ):
-            raise AssertionError(
-                f"kernel free-count vector degraded to {counts_arr.dtype}"
-            )
-
-    def _sync_counts(self):
-        """The int64 mirror of the materialized free-count prefix,
-        rebuilt when any fold patch or materialization moved it."""
-        if self._np_rev != self._grid_rev:
-            arr = _np.asarray(self._counts, dtype=_np.int64)
-            self._assert_kernel_dtypes(None, arr)
-            self._counts_np = arr
-            self._np_rev = self._grid_rev
-        return self._counts_np
-
-    def _nores_counts(self):
-        """Exact free-count vector over the *whole* grid, valid only
-        while no reservations stand: with releases alone, the state at
-        ``t`` is the cached cumulative union at its release index, so
-        one vectorized searchsorted positions every breakpoint at once
-        and a length table finishes the counts — no per-point set
-        materialization.  Cached until the grid or the release
-        timeline changes (folds bump both counters)."""
-        p = self._p
-        key = (self._times_rev, p.mutation_count)
-        cache = self._nores_cache
-        if cache is not None and cache[0] == key:
-            return cache[1], cache[2]
-        rel = p._rel_times
-        n = len(rel)
-        if n:
-            p._ensure_swept(n - 1)
-        times_np = _np.asarray(self._times, dtype=_np.float64)
-        rel_np = _np.asarray(rel, dtype=_np.float64)
-        ks_all = _np.searchsorted(rel_np, times_np + _EPS, side="right")
-        len_np = _np.empty(n + 1, dtype=_np.int64)
-        len_np[0] = len(p._base_free)
-        for i, state in enumerate(p._rel_cum_free):
-            len_np[i + 1] = len(state)
-        counts_all = len_np[ks_all]
-        self._assert_kernel_dtypes(times_np, counts_all)
-        self._nores_cache = (key, ks_all, counts_all)
-        return ks_all, counts_all
-
-    def _earliest_start_numpy(
-        self,
-        job: Job,
-        duration: float,
-        remote_per_node: int,
-        placement: "PlacementPolicy",
-        allocator: "PoolAllocator",
-        after: Optional[float],
-        memory_aware: bool,
-        not_after: Optional[float],
-        trial: Optional[Reservation],
-        trial_nodes: Optional[FrozenSet[int]],
-        trial_end_eps: float,
-        trial_const: Optional[int],
-        extra: Optional[float],
-    ) -> Optional[Reservation]:
-        """Vectorized no-reservation scan — bit-identical to the
-        scalar loop (candidates in the same order, same rejection
-        statistics), but the count-rejection walk is one searchsorted
-        plus slice reductions over the full-grid count vector instead
-        of a Python loop per breakpoint.
-
-        Only entered when no reservations stand (EASY's shadow scans
-        and trial probes): point-in-time counts are then monotone
-        consequences of the release timeline alone, window-claim
-        state is empty, and a trial overlay subtracts the constant
-        ``trial_const`` while active.  Accepted candidates fetch the
-        exact free set from the shared cumulative sweep in O(1); the
-        materialized prefix is never forced.
-        """
-        p = self._p
-        needed = job.nodes
-        times = self._times
-        now = p._now
-        start = now if after is None else (after if after > now else now)
-        count_reject = 0
-        pool_rejects = 0
-        ks_all, counts_all = self._nores_counts()
-        total = len(times)
-        cap = total if not_after is None else bisect_right(times, not_after)
-        split = bisect_left(times, trial_end_eps) if trial is not None else 0
-
-        def accept(t: float, k: int, fs: FrozenSet[int], cnt: int,
-                   cnt0: int) -> Optional[Reservation]:
-            nonlocal pool_rejects
-            trial_active = trial is not None and t < trial_end_eps
-            free = fs
-            if trial_active and cnt != cnt0:
-                free = fs.difference(trial_nodes)
-            result = self._window_accept(
-                t, t + _EPS, t + duration, t + duration - _EPS, k, free,
-                job, remote_per_node, placement, allocator, memory_aware,
-                trial, trial_active, 0, 0,
-            )
-            if result is None:
-                pool_rejects += 1
-            return result
-
-        def direct(t: float) -> Optional[Reservation]:
-            # Off-grid candidate (``after=`` anchor or the trial's
-            # end): evaluated exactly as the scalar loop does.
-            nonlocal count_reject
-            fs, k = self._state_at(t)
-            cnt0 = len(fs)
-            cnt = cnt0
-            if trial is not None and t < trial_end_eps:
-                cnt -= trial_const
-            if cnt < needed:
-                if cnt > count_reject:
-                    count_reject = cnt
-                return None
-            return accept(t, k, fs, cnt, cnt0)
-
-        def walk_seg(lo: int, hi: int, adj: int) -> Optional[Reservation]:
-            # Consume grid candidates [lo, hi) under a constant trial
-            # adjustment: vector-skip the count rejections (their
-            # exact maximum feeds the replay bound), accept-test the
-            # survivors one by one.
-            nonlocal count_reject
-            j = lo
-            bar = needed + adj
-            while j < hi:
-                seg = counts_all[j:hi]
-                hits = _np.nonzero(seg >= bar)[0]
-                if hits.size == 0:
-                    m = int(seg.max()) - adj
-                    if m > count_reject:
-                        count_reject = m
-                    return None
-                f = int(hits[0])
-                if f:
-                    m = int(seg[:f].max()) - adj
-                    if m > count_reject:
-                        count_reject = m
-                j += f
-                k = int(ks_all[j])
-                fs = p._rel_cum_free[k - 1] if k else p._base_free
-                cnt0 = int(seg[f])
-                result = accept(times[j], k, fs, cnt0 - adj, cnt0)
-                if result is not None:
-                    return result
-                j += 1
-            return None
-
-        def walk(lo: int, hi: int) -> Optional[Reservation]:
-            mid = min(max(split, lo), hi)
-            if lo < mid:
-                result = walk_seg(lo, mid, trial_const or 0)
-                if result is not None:
-                    return result
-                lo = mid
-            return walk_seg(lo, hi, 0)
-
-        def scan() -> Optional[Reservation]:
-            if start == times[0]:
-                j0 = 0
-            else:
-                # Arbitrary resume anchor: evaluate it directly, then
-                # continue on the grid strictly after it.
-                if not_after is not None and start > not_after:
-                    return None
-                result = direct(start)
-                if result is not None:
-                    return result
-                j0 = bisect_right(times, start)
-            trial_end = extra
-            e_pos = None
-            if trial_end is not None:
-                pos = bisect_left(times, trial_end)
-                if pos < total and times[pos] == trial_end:
-                    trial_end = None  # grid already carries this instant
-                elif not_after is not None and trial_end > not_after:
-                    trial_end = None  # beyond the cap: never evaluated
-                else:
-                    e_pos = pos
-            if e_pos is not None:
-                result = walk(j0, min(e_pos, cap))
-                if result is not None:
-                    return result
-                result = direct(trial_end)
-                if result is not None:
-                    return result
-                j0 = e_pos
-            return walk(j0, cap)
-
-        result = scan()
-        self._record_scan(needed, count_reject, pool_rejects)
-        return result
 
     # ------------------------------------------------------------------
     def count_at_anchor(self) -> int:
@@ -1737,14 +1306,11 @@ class SweepCursor:
             _SCAN_OBSERVER(len(times))
         now = p._now
         start = now if after is None else (after if after > now else now)
-        # Rejection statistics: ``count_reject`` is the largest
-        # achievable free-node count at any count-limited rejection,
-        # ``pool_rejects`` counts window-accept (pool-capacity)
-        # rejections.  ``last_scan_max_reject`` derives from both at
-        # every exit: count-limited rejections are always below the
-        # demand, so one pool rejection pins it to the demand sentinel.
-        count_reject = 0
-        pool_rejects = 0
+        # Rejection statistic (see class doc): the largest achievable
+        # free-node count at any rejected candidate.  Count-limited
+        # rejections are always below the demand, so a pool-capacity
+        # rejection pins it to the demand sentinel for good.
+        max_reject = 0
         trial_nodes: Optional[FrozenSet[int]] = None
         trial_end_eps = 0.0
         trial_const: Optional[int] = None
@@ -1764,20 +1330,6 @@ class SweepCursor:
             # is its full node count — an O(1) per-candidate prune.
             if not p._reservations and trial_nodes <= p._base_free:
                 trial_const = len(trial_nodes)
-
-        if (
-            self._numpy
-            and len(times) >= self._vec_floor
-            and not p._reservations
-            and (trial is None or trial_const is not None)
-        ):
-            # No standing reservations (EASY's regime): the whole
-            # count-rejection walk vectorizes over the full grid.
-            return self._earliest_start_numpy(
-                job, duration, remote_per_node, placement, allocator,
-                after, memory_aware, not_after, trial, trial_nodes,
-                trial_end_eps, trial_const, extra,
-            )
 
         counts = self._counts
         free_states = self._free
@@ -1805,38 +1357,7 @@ class SweepCursor:
             j = bisect_right(times, start)
         total = len(times)
 
-        # Vectorized skip-runs over the already-materialized count
-        # prefix (reservation regime): a grid candidate below the
-        # demand is rejected before any window state moves, so a jump
-        # across a rejected run — feeding its exact maximum to the
-        # replay bound — is equivalent to rejecting each in turn.  The
-        # mirror is synced once per scan; in-scan materialization only
-        # appends past ``skip_len``, where the scalar loop resumes.
-        skip_np = None
-        skip_len = 0
-        skip_cap: Optional[int] = None
-        if self._numpy and trial is None and total >= self._vec_floor:
-            skip_np = self._sync_counts()
-            skip_len = len(skip_np)
-            if not_after is not None:
-                skip_cap = bisect_right(times, not_after)
-
         while True:
-            if (
-                skip_np is not None
-                and pending_direct is None
-                and j < skip_len
-            ):
-                hi = skip_len if skip_cap is None else min(skip_len, skip_cap)
-                if j < hi:
-                    seg = skip_np[j:hi]
-                    hits = _np.nonzero(seg >= nodes_needed)[0]
-                    f = j + int(hits[0]) if hits.size else hi
-                    if f > j:
-                        m = int(seg[: f - j].max())
-                        if m > count_reject:
-                            count_reject = m
-                        j = f
             # Next candidate in time order, consumed at selection.
             if pending_direct is not None:
                 t = pending_direct
@@ -1879,8 +1400,8 @@ class SweepCursor:
                         if node_id in fs:
                             cnt -= 1
             if cnt < nodes_needed:
-                if cnt > count_reject:
-                    count_reject = cnt
+                if cnt > max_reject:
+                    max_reject = cnt
                 continue
             free: FrozenSet[int] = fs
             if trial_active and cnt != cnt0:
@@ -1913,8 +1434,8 @@ class SweepCursor:
                         if node_id in free:
                             windowed -= 1
                     if windowed < nodes_needed:
-                        if windowed > count_reject:
-                            count_reject = windowed
+                        if windowed > max_reject:
+                            max_reject = windowed
                         continue
                     if windowed != cnt:
                         free = free - ws_claim.keys()
@@ -1924,21 +1445,11 @@ class SweepCursor:
                 wi_lo, wi_hi,
             )
             if result is not None:
-                self._record_scan(nodes_needed, count_reject, pool_rejects)
+                self.last_scan_max_reject = max_reject
                 return result
-            pool_rejects += 1
-        self._record_scan(nodes_needed, count_reject, pool_rejects)
+            max_reject = nodes_needed
+        self.last_scan_max_reject = max_reject
         return None
-
-    def _record_scan(
-        self, nodes_needed: int, count_reject: int, pool_rejects: int
-    ) -> None:
-        """Publish one scan's rejection statistics (see class doc)."""
-        self.last_scan_max_reject = (
-            nodes_needed if pool_rejects else count_reject
-        )
-        self.last_scan_count_reject = count_reject
-        self.last_scan_pool_rejects = pool_rejects
 
     def _window_accept(
         self,

@@ -45,6 +45,7 @@ Field map (1-based, per the SWF standard):
 from __future__ import annotations
 
 import io
+import math
 import zlib
 from dataclasses import dataclass
 from itertools import islice
@@ -127,9 +128,13 @@ def _parse_line(line: str, lineno: int) -> List[float]:
         # drop trailing unknown fields).
         parts = parts + ["-1"] * (_NUM_FIELDS - len(parts))
     try:
-        return [float(p) for p in parts[:_NUM_FIELDS]]
+        vals = [float(p) for p in parts[:_NUM_FIELDS]]
     except ValueError as exc:
         raise TraceFormatError(f"line {lineno}: non-numeric SWF field: {exc}") from exc
+    if not all(map(math.isfinite, vals)):
+        bad = next(p for p, v in zip(parts, vals) if not math.isfinite(v))
+        raise TraceFormatError(f"line {lineno}: non-finite SWF field: {bad!r}")
+    return vals
 
 
 def _emits(vals: List[float], fields: SWFFields) -> bool:

@@ -214,29 +214,6 @@ class TestBatchApplyEquivalence:
             _spec(kind), jobs, queue=queue, backfill=backfill
         )
 
-    @pytest.mark.parametrize("backfill", ["easy", "conservative"])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_identical_under_both_sweep_kernels(self, seed, backfill):
-        """batch ≡ sequential must hold with the vectorized sweep
-        kernel on and off — and the schedules themselves must not
-        depend on the kernel (pure acceleration)."""
-        pytest.importorskip("numpy")
-        from repro.sched.profile import set_kernel
-        token = f"txn-kernel-{seed}-{backfill}"
-        jobs = _jobs(_rng(token), quantized=bool(seed % 2))
-        records = {}
-        previous = set_kernel("numpy")
-        try:
-            for kernel in ("numpy", "scalar"):
-                set_kernel(kernel)
-                batched = _run_batch_vs_sequential(
-                    _spec("thin-global"), jobs, backfill=backfill
-                )
-                records[kernel] = _schedule_record(batched)
-        finally:
-            set_kernel(previous)
-        assert records["numpy"] == records["scalar"]
-
 
 # ----------------------------------------------------------------------
 # sim-layer batch primitives

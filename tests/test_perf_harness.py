@@ -39,7 +39,6 @@ class TestCaseRegistry:
             "conservative_pass",
             "e2e_easy",
             "e2e_conservative",
-            "trace_scan_kernel",
             "trace_replay",
         ]
 

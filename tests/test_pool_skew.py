@@ -1,38 +1,28 @@
-"""Targeted suite for the pool-level plan-cache bound.
+"""Pool-skewed conservative workloads: golden digests plus the oracle.
 
 The per-node replay bound (``tests/test_plan_cache_skew.py``) is
 sentinel-poisoned the moment a scan rejects any breakpoint on *pool
-capacity*: placement identity can flip under arbitrary free-set
-changes, so counting freed nodes alone cannot prove those rejections
-stable.  The pool-level bound recovers exactly that regime on
-global-pool machines, where the allocator's verdict is a pure function
-of the global pool level and the node count: a pool-capacity rejection
-below a cached start can only flip if pool availability *rose* below
-the fold horizon, and node-only completions release zero pool MiB.
+capacity*, so entries whose scans hit the pool wall always replay
+through the bounded probe or a full rescan.  This suite drives exactly
+that regime and pins its schedules.
 
-The workload that exercises it mixes:
+The workload mixes:
 
 * long remote-heavy jobs that hold most of the (metered) global pool
   and queue behind each other — their reservation scans reject early
-  breakpoints on pool capacity, so their entries carry the count-only
-  ``p_bound`` instead of a usable per-node bound;
+  breakpoints on pool capacity;
 * node-only filler jobs whose realized runtime is a few percent of the
   requested walltime — every completion fold blows the probe's time
-  cap far past the cached starts while releasing *no* pool capacity,
-  which is precisely the door the pool-level bound opens.
+  cap far past the cached starts while releasing *no* pool capacity.
 
 The pool is metered (finite bandwidth) on purpose: duration estimates
 of remote jobs are pressure-dependent, and node-only folds leave pool
 usage — hence pressure, hence the estimates — bit-identical, so the
-cached durations revalidate and the door is reachable.
+cached durations revalidate and the replay path is exercised.
 
-Both halves of the contract are pinned:
-
-* decisions match the golden digests in ``tests/golden/pool_skew.json``
-  (baselined from runs verified against the pre-index reference pass)
-  — the bound is pure acceleration;
-* the pool-level resume path actually fires (``replay_stats["pool"]``),
-  so the ROADMAP item stays covered by an assertion, not a benchmark.
+Every schedule must match its golden digest in
+``tests/golden/pool_skew.json`` and deep-audit clean
+(:func:`repro.audit.deep_audit`, the invariant oracle).
 """
 
 from __future__ import annotations
@@ -42,6 +32,7 @@ import zlib
 
 import pytest
 
+from repro.audit import deep_audit
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
 from repro.engine.simulation import SchedulerSimulation
 from repro.sched.base import build_scheduler
@@ -106,17 +97,17 @@ def _rng(token: str) -> random.Random:
     return random.Random(zlib.crc32(token.encode()))
 
 
-def _run_pool_skew(token: str, **kwargs):
-    """Run the optimized stack, pin its digest, return replay stats."""
-    rng = _rng(token)
-    jobs = _pool_skew_jobs(rng, **kwargs)
-    penalty = {"kind": "contention", "beta": 0.3, "kappa": 2.0}
+def _run_pool_skew(token: str, spec_fn=_spec, penalty=None, **kwargs):
+    """Run the optimized stack; pin its digest and deep-audit it."""
+    jobs = _pool_skew_jobs(_rng(token), **kwargs)
+    penalty = penalty or {"kind": "contention", "beta": 0.3, "kappa": 2.0}
     sched = build_scheduler(backfill="conservative", penalty=penalty)
     result = SchedulerSimulation(
-        Cluster(_spec()), sched, [j.copy_request() for j in jobs]
+        Cluster(spec_fn()), sched, [j.copy_request() for j in jobs]
     ).run()
     assert_matches_golden(GOLDEN, token, result)
-    return sched.backfill.replay_stats
+    report = deep_audit(result)
+    assert report.ok, report
 
 
 def golden_cases():
@@ -166,32 +157,16 @@ class TestPoolSkew:
         entries carrying only the count-only bound."""
         _run_pool_skew(f"pool-skew-dense-{seed}", remote_fraction=0.6)
 
-    def test_pool_resume_fires_in_skew_regime(self):
-        """The regression target itself: under node-only early-finish
-        skew, entries whose scans rejected on pool capacity must
-        resume through the pool-level bound instead of re-walking
-        their prefix."""
-        fired = 0
-        for seed in range(6):
-            stats = _run_pool_skew(f"pool-skew-fire-{seed}")
-            fired += stats["pool"]
-        assert fired > 0, (
-            "pool-level replay bound never fired on pool-skewed "
-            "workloads — the ROADMAP regression this suite guards has "
-            "returned"
-        )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_early_finish_skew_matches_golden(self, seed):
+        """Node-only early finishers folding under pool-rejecting
+        entries: the replay must stay decision-invisible."""
+        _run_pool_skew(f"pool-skew-fire-{seed}")
 
-    def test_pool_door_shut_on_rack_pools(self):
-        """On a rack-pool machine the allocator's verdict depends on
-        placement identity, so the pool door must stay shut (and the
-        schedule must of course still match its golden)."""
-        token = "pool-skew-rack"
-        jobs = _pool_skew_jobs(_rng(token))
-        sched = build_scheduler(
-            backfill="conservative", penalty={"kind": "linear", "beta": 0.3}
+    def test_rack_pools_match_golden(self):
+        """Rack pools make the allocator's verdict depend on placement
+        identity; the same workload must still match its golden."""
+        _run_pool_skew(
+            "pool-skew-rack", spec_fn=_rack_spec,
+            penalty={"kind": "linear", "beta": 0.3},
         )
-        result = SchedulerSimulation(
-            Cluster(_rack_spec()), sched, [j.copy_request() for j in jobs]
-        ).run()
-        assert_matches_golden(GOLDEN, token, result)
-        assert sched.backfill.replay_stats["pool"] == 0

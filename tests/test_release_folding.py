@@ -103,9 +103,9 @@ def _assert_equals_rebuild(rng, cluster, running, now, profile):
 
 
 def _materialize_random_prefix(rng, profile):
-    """Force a live cursor with a random materialized depth, so folds
-    exercise the in-place patch over full, partial, and empty
-    prefixes alike."""
+    """Force a live cursor with a random materialized depth before a
+    fold, so a pre-fold cursor leaking past the fold would surface in
+    the state-by-state comparison."""
     cursor = profile.sweep_cursor()
     depth = rng.randint(0, len(cursor._times))
     if depth:
@@ -113,20 +113,21 @@ def _materialize_random_prefix(rng, profile):
 
 
 def _assert_cursor_equals_rebuild(profile, fresh):
-    """The fold-patched cursor must equal a fresh profile's cursor on
-    every materialized per-breakpoint state, not just on query results:
-    grid times, free sets, counts, and release-timeline indices."""
-    cursor = profile._cursor
-    assert cursor is not None, "fold dropped the live sweep cursor"
-    assert cursor is profile.sweep_cursor()
+    """After a fold, the profile's cursor must equal a fresh build's
+    cursor state by state, not just on query results: at every
+    breakpoint the grid time, free set, count, and release-timeline
+    index match."""
+    assert profile._cursor is None, "fold left the pre-fold cursor live"
+    cursor = profile.sweep_cursor()
     ref = fresh.sweep_cursor()
-    assert list(cursor._times) == list(ref._times)
+    assert cursor._times == ref._times
     last = len(ref._times) - 1
     cursor._materialize_to(last)
     ref._materialize_to(last)
-    assert list(cursor._free) == list(ref._free)
-    assert list(cursor._counts) == list(ref._counts)
-    assert list(cursor._k) == list(ref._k)
+    for j, t in enumerate(ref._times):
+        assert (cursor._free[j], cursor._counts[j], cursor._k[j]) == (
+            ref._free[j], ref._counts[j], ref._k[j]
+        ), f"cursor state at breakpoint {t} differs from a fresh build"
 
 
 class TestApplyReleaseUnit:
@@ -350,10 +351,9 @@ class TestEngineFoldingDifferential:
 
 
 # ---------------------------------------------------------------------------
-# The EASY shadow fold ledger: completion folds a release provably
-# cannot affect must keep the cached shadow alive (no head rescan),
-# and every door failure must drop it — with the surviving shadow
-# always equal to what a fresh scan would answer.
+# The EASY shadow cache across completion folds: a fold bumps the
+# profile's mutation count, so the next pass rescans the head, and the
+# rescanned shadow always equals what a from-scratch pass would answer.
 # ---------------------------------------------------------------------------
 
 def _shadow_cluster(pool: int = 64 * GiB) -> Cluster:
@@ -409,142 +409,92 @@ def _fresh_shadow(cluster, running, head, now):
     return shadow
 
 
-class TestShadowFoldLedger:
-    def test_fold_below_demand_survives(self):
-        """A completion freeing fewer nodes than the shadow scan's
-        slack keeps the cached shadow alive across the fold."""
+def _scenario(name):
+    """(cluster, running, head, expected shadow, completion order)."""
+    if name == "fold-below-demand":
         cluster = _shadow_cluster()
         running = [
             _shadow_running(cluster, 1, (0, 1, 2, 3), 600.0),
             _shadow_running(cluster, 2, (4, 5), 1200.0),
         ]
-        sched = build_scheduler(backfill="easy")
-        head = _shadow_head(6)
-        ctx = _shadow_ctx(cluster, [head], running, 0.0)
-        *_, shadow = sched.backfill._shadow_of(ctx, sched, head)
-        assert shadow == 600.0
-        # Job 2's fold frees 2 nodes; rejected breakpoints peaked at
-        # 2 achievable, and 2 + 2 < 6.
-        assert _complete(sched, cluster, running[1], running, 10.0) == 1200.0
-        stats = sched.backfill.shadow_stats
-        assert stats["fold_survived"] == 1 and stats["fold_dropped"] == 0
-        ctx2 = _shadow_ctx(cluster, [head], running, 10.0)
-        *_, again = sched.backfill._shadow_of(ctx2, sched, head)
-        assert again == 600.0
-        assert stats["reused"] == 1 and stats["recompute"] == 1
-        assert again == _fresh_shadow(cluster, running, head, 10.0)
-
-    def test_fold_breaching_demand_drops(self):
-        """A fold whose freed nodes could tip a rejected breakpoint
-        over the head's demand voids the shadow; the recompute then
-        matches a from-scratch pass."""
+        return cluster, running, _shadow_head(6), 600.0, (1,)
+    if name == "fold-breaching-demand":
         cluster = _shadow_cluster()
         running = [
             _shadow_running(cluster, 1, (0, 1, 2), 500.0),
             _shadow_running(cluster, 2, (3, 4, 5), 900.0),
         ]
-        sched = build_scheduler(backfill="easy")
-        head = _shadow_head(6)
-        ctx = _shadow_ctx(cluster, [head], running, 0.0)
-        *_, shadow = sched.backfill._shadow_of(ctx, sched, head)
-        assert shadow == 900.0
-        # Job 1 frees 3 nodes against a rejected peak of 5: 5 + 3 >= 6.
-        assert _complete(sched, cluster, running[0], running, 10.0) == 500.0
-        stats = sched.backfill.shadow_stats
-        assert stats["fold_dropped"] == 1
-        assert sched.backfill._shadow_cache is None
-        ctx2 = _shadow_ctx(cluster, [head], running, 10.0)
-        *_, again = sched.backfill._shadow_of(ctx2, sched, head)
-        assert stats["recompute"] == 2 and stats["reused"] == 0
-        assert again == _fresh_shadow(cluster, running, head, 10.0)
-
-    def test_coincident_fold_needs_surviving_breakpoint(self):
-        """A fold at the shadow instant itself survives only while
-        another release still breaks there — the accepted breakpoint
-        must not vanish from the grid."""
+        return cluster, running, _shadow_head(6), 900.0, (0,)
+    if name == "coincident-fold":
+        # Two releases share the shadow instant; one of them folds.
         cluster = _shadow_cluster()
         running = [
             _shadow_running(cluster, 1, (0,), 600.0),
             _shadow_running(cluster, 2, (1, 2, 3), 600.0),
             _shadow_running(cluster, 3, (4, 5), 4 * HOUR),
         ]
-        sched = build_scheduler(backfill="easy")
-        head = _shadow_head(4)
-        ctx = _shadow_ctx(cluster, [head], running, 0.0)
-        *_, shadow = sched.backfill._shadow_of(ctx, sched, head)
-        assert shadow == 600.0
-        # Job 1 folds exactly at the shadow, but job 2 still releases
-        # there: 2 + 1 < 4 and the breakpoint stands.
-        assert _complete(sched, cluster, running[0], running, 10.0) == 600.0
-        stats = sched.backfill.shadow_stats
-        assert stats["fold_survived"] == 1
-        ctx2 = _shadow_ctx(cluster, [head], running, 10.0)
-        *_, again = sched.backfill._shadow_of(ctx2, sched, head)
-        assert again == 600.0 == _fresh_shadow(cluster, running, head, 10.0)
-        assert stats["reused"] == 1
-
-    def test_pool_door_survives_node_only_folds(self):
-        """A pool-rejecting shadow scan poisons the per-node bound;
-        the pool door still proves node-only folds harmless, while a
-        pool-carrying fold voids it."""
+        return cluster, running, _shadow_head(4), 600.0, (0,)
+    if name == "pool-rejecting-scan":
+        # 24 GiB per node on 16 GiB nodes: 8 GiB remote each.  At the
+        # anchor two nodes are free but the pool is exhausted — a pure
+        # pool-capacity rejection; then a node-only and a
+        # pool-carrying fold.
         cluster = _shadow_cluster(pool=16 * GiB)
         running = [
             _shadow_running(cluster, 1, (0, 1, 2, 3, 4), 600.0,
                             pool=16 * GiB),
             _shadow_running(cluster, 2, (5,), 1200.0),
         ]
-        sched = build_scheduler(backfill="easy")
-        # 24 GiB per node on 16 GiB nodes: 8 GiB remote each.  At the
-        # anchor two nodes are free (count passes) but the pool is
-        # exhausted — a pure pool-capacity rejection.
-        head = _shadow_head(2, mem=24 * GiB)
-        ctx = _shadow_ctx(cluster, [head], running, 0.0)
-        *_, shadow = sched.backfill._shadow_of(ctx, sched, head)
-        assert shadow == 600.0
-        plan = sched.backfill._shadow_cache
-        assert plan.m_bound >= plan.need  # sentinel-poisoned
-        assert plan.p_bound is not None
-        # Node-only fold: zero pool MiB returns, count-only bound holds.
-        assert _complete(sched, cluster, running[1], running, 10.0) == 1200.0
-        stats = sched.backfill.shadow_stats
-        assert stats["fold_survived"] == 1
-        ctx2 = _shadow_ctx(cluster, [head], running, 10.0)
-        *_, again = sched.backfill._shadow_of(ctx2, sched, head)
-        assert again == 600.0 == _fresh_shadow(cluster, running, head, 10.0)
-        assert stats["reused"] == 1
-        # The pool-carrying fold raises pool availability below the
-        # shadow: the premise is gone, the cache must drop.
-        assert _complete(sched, cluster, running[0], running, 20.0) == 600.0
-        assert stats["fold_dropped"] == 1
-        assert sched.backfill._shadow_cache is None
-
-    def test_shadow_none_survives_every_fold(self):
-        """A head that cannot fit even the empty machine stays
-        infeasible through any completion: folds never change machine
-        composition."""
+        return cluster, running, _shadow_head(2, mem=24 * GiB), 600.0, (1, 0)
+    if name == "head-never-fits":
         cluster = _shadow_cluster()
         running = [
             _shadow_running(cluster, 1, (0, 1, 2, 3), 600.0),
             _shadow_running(cluster, 2, (4, 5), 1200.0),
         ]
+        return cluster, running, _shadow_head(20), None, (0, 0)
+    raise KeyError(name)
+
+
+class TestShadowAcrossFolds:
+    @pytest.mark.parametrize("name", [
+        "fold-below-demand", "fold-breaching-demand", "coincident-fold",
+        "pool-rejecting-scan", "head-never-fits",
+    ])
+    def test_shadow_after_folds_equals_fresh_pass(self, name):
+        """After every completion fold the next pass rescans the head
+        (the fold bumped the mutation count) and the shadow equals a
+        from-scratch pass at the same instant."""
+        cluster, running, head, expected, order = _scenario(name)
         sched = build_scheduler(backfill="easy")
-        head = _shadow_head(20)
         ctx = _shadow_ctx(cluster, [head], running, 0.0)
         *_, shadow = sched.backfill._shadow_of(ctx, sched, head)
-        assert shadow is None
-        _complete(sched, cluster, running[0], running, 10.0)
-        _complete(sched, cluster, running[0], running, 20.0)
+        assert shadow == expected
         stats = sched.backfill.shadow_stats
-        assert stats["fold_survived"] == 2
-        ctx2 = _shadow_ctx(cluster, [head], running, 20.0)
-        *_, again = sched.backfill._shadow_of(ctx2, sched, head)
-        assert again is None
-        assert stats["reused"] == 1 and stats["recompute"] == 1
+        for step, index in enumerate(order, start=1):
+            now = 10.0 * step
+            victim = running[index]
+            folded = _complete(sched, cluster, victim, running, now)
+            assert folded == victim.start_time + victim.walltime
+            ctx = _shadow_ctx(cluster, [head], running, now)
+            *_, again = sched.backfill._shadow_of(ctx, sched, head)
+            assert again == _fresh_shadow(cluster, running, head, now)
+            assert stats == {"reused": 0, "recompute": 1 + step}
+
+    def test_unfolded_shadow_is_reused(self):
+        """Without a fold the cached shadow survives a later instant."""
+        cluster, running, head, expected, _ = _scenario("fold-below-demand")
+        sched = build_scheduler(backfill="easy")
+        for now in (0.0, 10.0):
+            ctx = _shadow_ctx(cluster, [head], running, now)
+            *_, shadow = sched.backfill._shadow_of(ctx, sched, head)
+            assert shadow == expected
+        assert sched.backfill.shadow_stats == {"reused": 1, "recompute": 1}
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_ledger_fires_end_to_end(self, seed):
-        """In real simulations (already decision-differentialed above)
-        the survival path must actually carry shadows across folds."""
+    def test_strategy_stats_surface_shadow_counters(self, seed):
+        """In real simulations the counters the engine reports are the
+        strategy's own, and the head is actually rescanned."""
         rng = random.Random(90_000 + seed)
         jobs = _random_jobs(rng)
         sched = build_scheduler(backfill="easy",
@@ -555,4 +505,3 @@ class TestShadowFoldLedger:
         stats = result.strategy_stats["shadow"]
         assert stats == sched.backfill.shadow_stats
         assert stats["recompute"] > 0
-        assert stats["fold_survived"] + stats["fold_dropped"] > 0

@@ -28,6 +28,7 @@ from repro.workload.swf import (
     iter_swf,
     jobs_from_swf_text,
     read_swf,
+    swf_line_submit,
 )
 
 _JOB_FIELDS = (
@@ -169,6 +170,29 @@ def test_newline_terminated_garbage_tail_raises():
     text = sample_text(10) + "3 garbage\n"
     with pytest.raises(TraceFormatError):
         list(iter_swf(text.splitlines(True)))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        swf_line(procs="nan"),
+        swf_line(procs="inf"),
+        swf_line(user="inf"),
+        swf_line(run="nan"),
+        swf_line(req_time="nan"),
+        swf_line(run="-inf"),
+    ],
+    ids=["nan-procs", "inf-procs", "inf-user", "nan-runtime",
+         "nan-walltime", "neg-inf-runtime"],
+)
+def test_non_finite_field_raises(line):
+    """A nan/inf field is malformed input, never a bare ValueError or
+    OverflowError and never a silently accepted NaN job time."""
+    lines = sample_text(5).splitlines(True) + [line + "\n"]
+    with pytest.raises(TraceFormatError, match="non-finite"):
+        list(iter_swf(lines))
+    with pytest.raises(TraceFormatError, match="non-finite"):
+        swf_line_submit(line, 7)
 
 
 def test_header_only_trace_yields_nothing():
