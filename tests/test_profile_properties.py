@@ -329,8 +329,8 @@ class TestIntervalIndexVsOracle:
 
 #: Fold release instants: on the same colliding grid as the
 #: reservation edges, plus ``inf`` — a job with no walltime bound puts
-#: an infinite float into the breakpoint grid, which the vectorized
-#: kernel must carry without poisoning searchsorted or prefix sweeps.
+#: an infinite float into the breakpoint grid, which the sweep must
+#: carry without poisoning bisects or prefix sweeps.
 _FOLD_ENDS = [float(v) for v in range(60, 660, 60)] + [math.inf]
 
 
