@@ -14,7 +14,8 @@ without.
 
 from __future__ import annotations
 
-from repro.engine import SchedulerSimulation, audit_result, exponential_failure_trace
+from repro.audit import deep_audit
+from repro.engine import SchedulerSimulation, exponential_failure_trace
 from repro.cluster import Cluster
 from repro.metrics import ascii_table
 from repro.sched import build_scheduler
@@ -38,7 +39,7 @@ def run_arm(jobs, trace, checkpointed: bool):
         Cluster(thin_spec(fraction=0.5, name="resilience")),
         scheduler, fresh, failures=list(trace),
     ).run()
-    audit_result(result)
+    deep_audit(result).raise_if_failed()
     roots_done = {
         j.restart_of or j.job_id
         for j in result.jobs if j.state is JobState.COMPLETED

@@ -11,12 +11,9 @@ chart with the failure-killed jobs visible as truncated bars.
 Run:  python examples/failure_study.py
 """
 
+from repro.audit import deep_audit
 from repro.cluster import Cluster, ClusterSpec
-from repro.engine import (
-    SchedulerSimulation,
-    audit_result,
-    exponential_failure_trace,
-)
+from repro.engine import SchedulerSimulation, exponential_failure_trace
 from repro.metrics import ascii_table, render_gantt
 from repro.sched import build_scheduler
 from repro.sim import RandomStreams
@@ -52,7 +49,7 @@ def run_arm(jobs, mtbf_divisor, checkpointed, horizon):
     result = SchedulerSimulation(
         machine(), scheduler, fresh, failures=trace,
     ).run()
-    audit_result(result)
+    deep_audit(result).raise_if_failed()
     roots_done = {
         j.restart_of or j.job_id
         for j in result.jobs if j.state is JobState.COMPLETED

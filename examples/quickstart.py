@@ -9,8 +9,9 @@ the headline metrics.
 Run:  python examples/quickstart.py
 """
 
+from repro.audit import deep_audit
 from repro.cluster import Cluster, ClusterSpec
-from repro.engine import SchedulerSimulation, audit_result
+from repro.engine import SchedulerSimulation
 from repro.metrics import ascii_table, render_gantt, summarize
 from repro.sched import build_scheduler
 from repro.units import GiB, format_duration
@@ -51,7 +52,7 @@ def main() -> None:
 
     # 4. Run and audit.
     result = SchedulerSimulation(cluster, scheduler, jobs).run()
-    audit_result(result)  # raises if any invariant is violated
+    deep_audit(result).raise_if_failed()  # raises on any violation
 
     # 5. Report.
     summary = summarize(result, label=spec.name)

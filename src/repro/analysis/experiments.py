@@ -4,7 +4,8 @@ The benches and examples all funnel through :func:`run_config`, which
 enforces the hygiene that keeps comparisons honest:
 
 * every arm receives a **fresh copy** of the trace (jobs are stateful);
-* every run is **audited** before its numbers are reported (disable
+* every run is **deep-audited** (:func:`repro.audit.deep_audit`)
+  before its numbers are reported (disable
   only for deliberately broken arms, e.g. memory-blind EASY);
 * summaries carry an explicit label and a common memory-class
   reference so cross-configuration tables are comparable.
@@ -15,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..audit import deep_audit
 from ..cluster.cluster import Cluster
 from ..cluster.spec import ClusterSpec
-from ..engine.audit import audit_result
 from ..engine.results import SimulationResult
 from ..engine.simulation import SchedulerSimulation
 from ..metrics.summary import ResultSummary, summarize
@@ -54,7 +55,7 @@ def run_config(
     )
     result = sim.run()
     if audit:
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
     summary = summarize(
         result,
         label=label or cluster_spec.name,

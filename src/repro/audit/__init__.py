@@ -1,24 +1,18 @@
-"""Deep-audit subsystem: invariant validation, presets, explanations.
+"""Audit subsystem: the schedule oracle, presets, explanations.
 
-This package grows :mod:`repro.engine.audit` (raise-on-first-violation,
-used inline by every integration test) into a first-class audit layer:
-
-* :mod:`repro.audit.policy` — the single source of truth for *when*
-  conditional invariants apply (promise enforcement, FCFS ordering),
-  previously duplicated as caller-side heuristics;
-* :mod:`repro.audit.validator` — :func:`deep_audit`, a structured
-  validator that recomputes per-instant node and pool occupancy from
+* :mod:`repro.audit.validator` — :func:`deep_audit`, the one schedule
+  oracle: it recomputes per-instant node and pool occupancy from
   scratch and reports every violation as an :class:`AuditViolation`
-  instead of raising on the first;
+  (``deep_audit(result).raise_if_failed()`` gives the raise-style
+  contract integration tests and ``run_config`` use);
 * :mod:`repro.audit.explain` — per-job "why this start time"
   explanations with the binding constraint and bounding breakpoint;
 * :mod:`repro.audit.presets` — the curated adversarial scenario
   library behind ``repro audit`` (imported lazily: it pulls in the
-  engine, which itself delegates to :mod:`repro.audit.policy`).
+  engine).
 """
 
 from .explain import JobExplanation, explain_job, explain_schedule
-from .policy import fairshare_order_applies, fcfs_order_applies, promises_apply
 from .validator import AuditReport, AuditViolation, deep_audit
 
 __all__ = [
@@ -28,7 +22,4 @@ __all__ = [
     "explain_job",
     "explain_schedule",
     "JobExplanation",
-    "fairshare_order_applies",
-    "fcfs_order_applies",
-    "promises_apply",
 ]

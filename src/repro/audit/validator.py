@@ -1,14 +1,14 @@
 """Structured deep validator: every invariant, every violation.
 
-:func:`deep_audit` is the exhaustive sibling of
-:func:`repro.engine.audit.audit_result`.  Where the engine auditor
-raises on the first violated invariant (the right shape for inline
-test assertions), the deep validator recomputes per-instant node and
-pool occupancy *from scratch* — from the job records alone, then
-cross-checked against the memory ledger, so neither bookkeeping source
-can vouch for itself — and returns an :class:`AuditReport` listing
-every :class:`AuditViolation` it found, tagged with the invariant
-class the mutation suite asserts against.
+:func:`deep_audit` is the project's one schedule oracle.  It recomputes
+per-instant node and pool occupancy *from scratch* — from the job
+records alone, then cross-checked against the memory ledger, so
+neither bookkeeping source can vouch for itself — and returns an
+:class:`AuditReport` listing every :class:`AuditViolation` it found,
+tagged with the invariant class the mutation suite asserts against.
+Callers that want the raise-style contract (integration tests,
+:func:`repro.analysis.run_config`, ``repro run``) call
+``deep_audit(result).raise_if_failed()``.
 
 Invariant classes (see docs/AUDIT.md for the soundness arguments):
 
@@ -18,7 +18,8 @@ Invariant classes (see docs/AUDIT.md for the soundness arguments):
 ``node-oversubscription`` / ``node-unknown`` / ``node-downtime``
     per-node interval sweep: at no instant do two jobs hold one node,
     every assigned node exists, and no job runs through a failure's
-    down window.
+    effective down window (overlapping failures are absorbed the way
+    the engine absorbs them).
 ``pool-oversubscription`` / ``pool-unknown``
     per-instant pool occupancy recomputed from job records never
     exceeds capacity or goes negative; every granted pool exists.
@@ -34,29 +35,32 @@ Invariant classes (see docs/AUDIT.md for the soundness arguments):
     duration equals the dilated runtime.
 ``promise``
     promise records are sane (decided before promised start, after
-    submission) and — when :mod:`repro.audit.policy` says they are
-    hard guarantees — honored.  Conservative promises surface as
+    submission) and — when the policy stack makes them hard
+    guarantees — honored.  Conservative promises surface as
     advisories, not errors.
 ``order``
     FCFS non-overtaking without backfill; same-user submit-order
     monotonicity under fairshare without backfill.
+
+Several invariants are only sound for particular policy stacks; the
+private predicates below (:func:`_promise_severity`,
+:func:`_fcfs_order_applies`, :func:`_fairshare_order_applies`) are the
+single place those applicability rules live.  They read the
+``scheduler_info`` mapping produced by
+:meth:`repro.sched.base.Scheduler.describe`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import AllocationError, AuditError
 from ..workload.job import JobState
-from .policy import (
-    conservative_promises_advisory,
-    fairshare_order_applies,
-    fcfs_order_applies,
-    promises_apply,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..engine.failures import FailureEvent
     from ..engine.results import SimulationResult
 
 __all__ = ["AuditViolation", "AuditReport", "deep_audit"]
@@ -125,7 +129,7 @@ class AuditReport:
         }
 
     def raise_if_failed(self) -> None:
-        """Bridge to the raise-style contract of the engine auditor."""
+        """Raise :class:`AuditError` listing the first ten errors."""
         errors = self.errors
         if not errors:
             return
@@ -141,17 +145,12 @@ class AuditReport:
         self.checks[invariant] = self.checks.get(invariant, 0) + n
 
 
-def deep_audit(
-    result: "SimulationResult", strict_promises: Optional[bool] = None
-) -> AuditReport:
+def deep_audit(result: "SimulationResult") -> AuditReport:
     """Validate every invariant of ``result``; never raises.
 
-    ``strict_promises=None`` (the default) consults
-    :mod:`repro.audit.policy`: promise honoring is checked as an error
-    under EASY's hard-guarantee conditions and as an advisory under
-    conservative's.  ``False`` skips promise honoring entirely;
-    ``True`` forces the error-severity check regardless of policy (the
-    caller asserts the conditions hold).
+    Promise honoring is checked as an error under EASY's
+    hard-guarantee conditions and as an advisory under conservative's
+    (see :func:`_promise_severity`).
     """
     report = AuditReport()
     _check_lifecycle(result, report)
@@ -160,7 +159,7 @@ def deep_audit(
     _check_ledger(result, report)
     _check_split(result, report)
     _check_metrics(result, report)
-    _check_promises(result, report, strict_promises)
+    _check_promises(result, report)
     _check_order(result, report)
     return report
 
@@ -242,11 +241,15 @@ def _check_nodes(result: "SimulationResult", report: AuditReport) -> None:
     # +1 at each start, -1 at each end, releases applied before
     # same-instant grants (the engine's FINISH-before-SCHEDULE order).
     events: Dict[int, List[Tuple[float, int, int]]] = {}
+    jobs_on_node: Dict[int, List] = {}
+    assignments = 0
     for job in result.finished:
         if job.start_time is None or job.end_time is None:
             continue  # reported by lifecycle
+        assignments += len(job.assigned_nodes)
+        for node_id in dict.fromkeys(job.assigned_nodes):
+            jobs_on_node.setdefault(node_id, []).append(job)
         for node_id in job.assigned_nodes:
-            report._count("node-unknown")
             if not 0 <= node_id < num_nodes:
                 report._add(AuditViolation(
                     "node-unknown",
@@ -255,17 +258,16 @@ def _check_nodes(result: "SimulationResult", report: AuditReport) -> None:
                     job_id=job.job_id, node_id=node_id,
                 ))
                 continue
-            events.setdefault(node_id, []).append(
-                (job.start_time, +1, job.job_id)
-            )
-            events.setdefault(node_id, []).append(
-                (job.end_time, -1, job.job_id)
-            )
+            node_events = events.setdefault(node_id, [])
+            node_events.append((job.start_time, +1, job.job_id))
+            node_events.append((job.end_time, -1, job.job_id))
+    if assignments:
+        report._count("node-unknown", assignments)
     for node_id, node_events in sorted(events.items()):
-        node_events.sort(key=lambda e: (e[0], e[1]))
+        node_events.sort(key=itemgetter(0, 1))
+        report._count("node-oversubscription", len(node_events))
         holders: set = set()
         for time, delta, job_id in node_events:
-            report._count("node-oversubscription")
             if delta < 0:
                 holders.discard(job_id)
                 continue
@@ -279,15 +281,16 @@ def _check_nodes(result: "SimulationResult", report: AuditReport) -> None:
                 ))
             holders.add(job_id)
 
-    for failure in result.failures:
-        down_start = failure.time
-        down_end = failure.time + failure.repair_time
-        for job in result.finished:
-            if job.start_time is None or job.end_time is None:
-                continue
-            if failure.node_id not in job.assigned_nodes:
-                continue
-            report._count("node-downtime")
+    windows = _effective_down_windows(result.failures, result.started_at)
+    for failure, window in zip(result.failures, windows):
+        victims = jobs_on_node.get(failure.node_id)
+        if not victims:
+            continue
+        report._count("node-downtime", len(victims))
+        if window is None:
+            continue  # absorbed by an overlapping failure
+        down_start, down_end = window
+        for job in victims:
             # The failure's victim ends exactly at the failure instant;
             # anything extending beyond it ran on a down node.
             if (
@@ -302,6 +305,34 @@ def _check_nodes(result: "SimulationResult", report: AuditReport) -> None:
                     job_id=job.job_id, node_id=failure.node_id,
                     time=down_start,
                 ))
+
+
+def _effective_down_windows(
+    failures: List["FailureEvent"], origin: float
+) -> List[Optional[Tuple[float, float]]]:
+    """``[time, time + repair)`` per failure that actually took its node
+    down, ``None`` per failure the engine ignores.  Replays the engine's
+    rules: failures fire in stable ``(time, node_id)`` order, clamped to
+    the clock ``origin`` (the earliest submission); one repaired by the
+    origin never fires, and one arriving while its node is already
+    down — including at the repair instant, since failures precede
+    repairs within an instant — is absorbed and extends nothing."""
+    windows: List[Optional[Tuple[float, float]]] = [None] * len(failures)
+    down_until: Dict[int, float] = {}
+    for index in sorted(
+        range(len(failures)),
+        key=lambda i: (failures[i].time, failures[i].node_id),
+    ):
+        failure = failures[index]
+        fires_at = max(failure.time, origin)
+        repair_at = failure.time + failure.repair_time
+        if repair_at <= fires_at:
+            continue
+        if fires_at <= down_until.get(failure.node_id, float("-inf")):
+            continue
+        down_until[failure.node_id] = repair_at
+        windows[index] = (failure.time, repair_at)
+    return windows
 
 
 def _pool_capacities(result: "SimulationResult") -> Dict[str, int]:
@@ -522,13 +553,42 @@ def _check_metrics(result: "SimulationResult", report: AuditReport) -> None:
                 ))
 
 
-def _check_promises(
-    result: "SimulationResult",
-    report: AuditReport,
-    strict_promises: Optional[bool],
-) -> None:
-    info = result.scheduler_info
-    has_failures = bool(result.failures)
+def _promise_severity(
+    info: Mapping[str, str], has_failures: bool
+) -> Optional[str]:
+    """Severity of a broken promise, or None when promises bind nothing.
+
+    Promises are hard guarantees (``"error"``) only for EASY backfill
+    under FCFS order (later arrivals cannot overtake), bounded runtimes
+    (estimates are upper bounds), memory-aware reservations (a
+    memory-blind shadow is exactly the promise the paper shows being
+    broken), no start gate (a gate may deliberately hold a job past its
+    promised start), and no failure trace (a shadow computed on
+    capacity that then died may legally slip).
+
+    Under the same conditions conservative promises are ``"advisory"``:
+    conservative backfill here is *recompute-style* — the reservation
+    schedule is rebuilt every cycle, and greedy earliest-start
+    schedules are not monotone under early completions (a
+    higher-priority job shifting earlier can legitimately push a
+    lower-priority reservation later) — so an overshoot is worth
+    surfacing but is not an error.
+    """
+    if (
+        info.get("queue") != "fcfs"
+        or info.get("kill") == "none"
+        or info.get("memory_aware") == "false"
+        or info.get("gate") != "always"
+        or has_failures
+    ):
+        return None
+    return {"easy": "error", "conservative": "advisory"}.get(info.get("backfill"))
+
+
+def _check_promises(result: "SimulationResult", report: AuditReport) -> None:
+    jobs_by_id: Dict[int, Any] = {}
+    for job in result.jobs:
+        jobs_by_id.setdefault(job.job_id, job)  # first match, as result.job
     for job_id, promise in sorted(result.promises.items()):
         report._count("promise")
         if promise.promised_start < promise.decided_at - _DURATION_TOL:
@@ -538,9 +598,8 @@ def _check_promises(
                 f"{promise.promised_start} < decided at {promise.decided_at}",
                 job_id=job_id, time=promise.decided_at,
             ))
-        try:
-            job = result.job(job_id)
-        except KeyError:
+        job = jobs_by_id.get(job_id)
+        if job is None:
             report._add(AuditViolation(
                 "promise", f"promise for unknown job {job_id}", job_id=job_id,
             ))
@@ -552,18 +611,14 @@ def _check_promises(
                 f"before its submission at {job.submit_time}",
                 job_id=job_id, time=promise.decided_at,
             ))
-    if strict_promises is False:
-        return
-    if strict_promises is True or promises_apply(info, has_failures=has_failures):
-        severity = "error"
-    elif conservative_promises_advisory(info, has_failures=has_failures):
-        severity = "advisory"
-    else:
+    severity = _promise_severity(
+        result.scheduler_info, has_failures=bool(result.failures)
+    )
+    if severity is None:
         return
     for job_id, promise in sorted(result.promises.items()):
-        try:
-            job = result.job(job_id)
-        except KeyError:
+        job = jobs_by_id.get(job_id)
+        if job is None:
             continue  # already reported above
         if job.state is JobState.REJECTED or job.start_time is None:
             continue
@@ -578,9 +633,38 @@ def _check_promises(
             ))
 
 
+def _fcfs_order_applies(info: Mapping[str, str]) -> bool:
+    """Strict FCFS non-overtaking holds only without backfill (any
+    backfill exists precisely to overtake) and without a gate (a gate
+    holds individual jobs out of order)."""
+    return (
+        info.get("backfill") == "none"
+        and info.get("queue") == "fcfs"
+        and info.get("gate") == "always"
+    )
+
+
+def _fairshare_order_applies(info: Mapping[str, str], has_failures: bool) -> bool:
+    """Same-user submit-order monotonicity under fairshare queueing.
+
+    Sound only without backfill: the no-backfill scan stops at the
+    first blocked job, and two jobs of one user always appear in
+    submit order within a pass (equal usage at equal instants ties to
+    submit time), so the later one can never start first.  With
+    backfill the later, smaller job may legitimately overtake its
+    sibling.
+    """
+    return (
+        info.get("queue") == "fairshare"
+        and info.get("backfill") == "none"
+        and info.get("gate") == "always"
+        and not has_failures
+    )
+
+
 def _check_order(result: "SimulationResult", report: AuditReport) -> None:
     info = result.scheduler_info
-    if fcfs_order_applies(info):
+    if _fcfs_order_applies(info):
         ran = sorted(
             result.finished, key=lambda job: (job.submit_time, job.job_id)
         )
@@ -596,7 +680,7 @@ def _check_order(result: "SimulationResult", report: AuditReport) -> None:
                     f"{earlier.start_time})",
                     job_id=later.job_id, time=later.start_time,
                 ))
-    if fairshare_order_applies(info, has_failures=bool(result.failures)):
+    if _fairshare_order_applies(info, has_failures=bool(result.failures)):
         by_user: Dict[str, List] = {}
         for job in result.finished:
             by_user.setdefault(job.user, []).append(job)

@@ -76,9 +76,9 @@ from typing import List, Optional
 
 from .analysis.compare import compare_table
 from .analysis.experiments import run_config
+from .audit import deep_audit
 from .cluster.spec import ClusterSpec
 from .config import ExperimentConfig
-from .engine.audit import audit_result
 from .engine.simulation import SchedulerSimulation
 from .errors import ReproError
 from .metrics.report import ascii_table, rows_to_csv
@@ -98,7 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cluster, scheduler, jobs, sample_interval=config.sample_interval
     )
     result = sim.run()
-    audit_result(result)
+    deep_audit(result).raise_if_failed()
     summary = summarize(result, label=config.name)
     row = summary.row()
     print(ascii_table(list(row.keys()), [list(row.values())]))
@@ -218,7 +218,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=cache_dir,
         progress=progress,
-        deep_audit=args.audit,
     )
     report = runner.run(grid)
 
@@ -254,25 +253,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         Path(args.out).write_text(json.dumps(payload, indent=2, default=str))
         print(f"sweep results written to {args.out}")
     print(report.status_line())
-    if args.audit:
-        failed = []
-        audited = 0
-        for record in report.records:
-            audit = record.get("audit")
-            if audit is None:  # cache hit: validated when first executed
-                continue
-            audited += 1
-            if not audit["ok"]:
-                failed.append(record)
-        print(f"deep audit: {audited} executed cell"
-              f"{'s' if audited != 1 else ''} validated, "
-              f"{len(failed)} with violations")
-        for record in failed:
-            for violation in record["audit"]["violations"][:5]:
-                print(f"  {record['name']}: [{violation['invariant']}] "
-                      f"{violation['message']}", file=sys.stderr)
-        if failed:
-            return 1
     return 0
 
 
@@ -792,12 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also print a compare table vs this scenario label")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress per-cell progress lines")
-    p_sweep.add_argument(
-        "--audit", action="store_true",
-        help="run the deep invariant validator on every executed cell "
-        "(exit 1 on any violation; cache hits were validated when first "
-        "executed)",
-    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_audit = sub.add_parser(

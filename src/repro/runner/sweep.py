@@ -45,15 +45,14 @@ def default_workers(fallback: int = 1) -> int:
     return int(os.environ.get("REPRO_SWEEP_WORKERS", str(fallback)))
 
 
-def run_scenario(scenario: Scenario, deep_audit: bool = False) -> Dict[str, Any]:
+def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     """Execute one scenario and return its JSON-able summary record.
 
     The record deliberately contains no wall-clock timing or host
     details, so records are bitwise-comparable across runs, worker
-    counts, and cache round-trips.  ``deep_audit`` additionally runs
-    the full invariant validator on the raw result and attaches its
-    report under an ``"audit"`` key; the key never enters the result
-    cache, so audited and unaudited sweeps share cache entries.
+    counts, and cache round-trips.  With ``scenario.audit`` (the
+    default) :func:`~repro.analysis.run_config` deep-validates the raw
+    result and raises :class:`~repro.errors.AuditError` on a violation.
     """
     spec = scenario.build_cluster_spec()
     jobs = scenario.build_jobs()
@@ -62,7 +61,7 @@ def run_scenario(scenario: Scenario, deep_audit: bool = False) -> Dict[str, Any]
         # Directly-constructed Scenario objects may carry the "512GiB"
         # string form; from_dict normalizes, this covers the rest.
         class_local_mem = parse_mem(class_local_mem)
-    result, summary = run_config(
+    _, summary = run_config(
         spec,
         jobs,
         label=scenario.name or spec.name,
@@ -71,27 +70,22 @@ def run_scenario(scenario: Scenario, deep_audit: bool = False) -> Dict[str, Any]
         class_local_mem=class_local_mem,
         **scenario.scheduler,
     )
-    record = {
+    return {
         "key": scenario.key(),
         "name": scenario.name,
         "coords": dict(scenario.coords),
         "seed": scenario.effective_seed(),
         "summary": asdict(summary),
     }
-    if deep_audit:
-        from ..audit import deep_audit as run_deep_audit
-
-        record["audit"] = run_deep_audit(result).to_dict()
-    return record
 
 
 def _execute_indexed(
-    item: Tuple[int, Scenario, bool]
+    item: Tuple[int, Scenario]
 ) -> Tuple[int, Dict[str, Any], float]:
     """Worker entry point: run one cell, keep its grid position."""
-    index, scenario, deep_audit = item
+    index, scenario = item
     start = time.perf_counter()
-    record = run_scenario(scenario, deep_audit=deep_audit)
+    record = run_scenario(scenario)
     return index, record, time.perf_counter() - start
 
 
@@ -161,12 +155,6 @@ class SweepRunner:
     progress:
         Optional callable receiving one human-readable line per
         completed cell (and per cache hit).
-    deep_audit:
-        Run the full invariant validator on every *executed* cell and
-        attach its report to the record (cache hits were validated when
-        first executed and carry no report — the ``"audit"`` key is
-        stripped before a record enters the cache, keeping cache
-        entries and the default sweep output byte-identical).
     """
 
     def __init__(
@@ -174,14 +162,12 @@ class SweepRunner:
         workers: int = 1,
         cache_dir: Optional[str | Path] = None,
         progress: Optional[ProgressFn] = None,
-        deep_audit: bool = False,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.progress = progress
-        self.deep_audit = deep_audit
 
     # ------------------------------------------------------------------
     def run(self, grid: Union[ScenarioGrid, Sequence[Scenario]]) -> SweepReport:
@@ -196,7 +182,7 @@ class SweepRunner:
         start = time.perf_counter()
 
         records: List[Optional[Dict[str, Any]]] = [None] * total
-        pending: List[Tuple[int, Scenario, bool]] = []
+        pending: List[Tuple[int, Scenario]] = []
         cached = 0
         for index, scenario in enumerate(scenarios):
             hit = self.cache.get(scenario.key()) if self.cache is not None else None
@@ -211,19 +197,16 @@ class SweepRunner:
                 cached += 1
                 self._report(cached, 0, total, scenario, "cached")
             else:
-                pending.append((index, scenario, self.deep_audit))
+                pending.append((index, scenario))
 
         executed = 0
         for index, record, cell_elapsed in self._execute(pending):
             records[index] = record
             executed += 1
             if self.cache is not None:
-                # The audit report describes one execution, not the
-                # scenario's physics; cache entries stay audit-free so
-                # cached reruns reproduce the pre-audit bytes exactly.
                 self.cache.put(
                     record["key"],
-                    {k: v for k, v in record.items() if k != "audit"},
+                    record,
                     scenario=scenarios[index].to_dict(),
                     elapsed=cell_elapsed,
                 )
@@ -318,7 +301,7 @@ class SweepRunner:
         return results
 
     # ------------------------------------------------------------------
-    def _execute(self, pending: List[Tuple[int, Scenario, bool]]):
+    def _execute(self, pending: List[Tuple[int, Scenario]]):
         """Yield ``(index, record, elapsed)`` for every pending cell."""
         if not pending:
             return

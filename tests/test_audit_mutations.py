@@ -185,6 +185,14 @@ def _mut_start_before_submit(result):
     job.start_time = job.submit_time - 100.0
 
 
+def _mut_missing_end(result):
+    _completed(result).end_time = None
+
+
+def _mut_node_count(result):
+    _completed(result, min_nodes=2).assigned_nodes.pop()
+
+
 def _mut_end_before_start(result):
     job = _completed(result)
     job.end_time = job.start_time - 50.0
@@ -212,6 +220,24 @@ def _mut_split_rack_reach(result):
     job.pool_grants[f"rack{other}"] = amount
 
 
+def _mut_split_rack_overdraw(result):
+    # Fold one rack grant into another rack the job also reaches: the
+    # total still equals the remote demand and every drawn rack holds
+    # one of the job's nodes, but the receiving rack's nodes cannot
+    # consume that much.
+    per_rack = result.cluster_spec.nodes_per_rack
+    for job in result.finished:
+        drawn = [
+            f"rack{rack}"
+            for rack in sorted({node // per_rack for node in job.assigned_nodes})
+            if job.pool_grants.get(f"rack{rack}", 0) > 0
+        ]
+        if len(drawn) >= 2:
+            job.pool_grants[drawn[0]] += job.pool_grants.pop(drawn[1])
+            return
+    raise AssertionError("no job drawing from two rack pools in base")
+
+
 def _mut_ledger_conservation(result):
     victim = _pooled_job(result).job_id
     result.ledger = MemoryLedger.from_entries([
@@ -227,6 +253,20 @@ def _mut_ledger_amount(result):
         if entry.job_id == victim and entry.pool_grants:
             pool_id, amount = entry.pool_grants[0]
             grants = ((pool_id, amount + 1),) + entry.pool_grants[1:]
+            entry = dataclasses.replace(entry, pool_grants=grants)
+        rebuilt.append(entry)
+    result.ledger = MemoryLedger.from_entries(rebuilt)
+
+
+def _mut_ledger_unknown_pool(result):
+    # Re-home one job's ledger grant and release to a pool the spec
+    # lacks; the job record keeps the real pool.
+    victim = _pooled_job(result).job_id
+    rebuilt = []
+    for entry in result.ledger:
+        if entry.job_id == victim and entry.pool_grants:
+            (pool_id, amount), *rest = entry.pool_grants
+            grants = tuple(sorted([("pool-x", amount), *rest]))
             entry = dataclasses.replace(entry, pool_grants=grants)
         rebuilt.append(entry)
     result.ledger = MemoryLedger.from_entries(rebuilt)
@@ -297,15 +337,20 @@ MUTATIONS = [
     ("promise-unknown-job", "easy", "fcfs", _mut_promise_unknown_job, "promise"),
     ("resurrect-cancelled", "easy", "fcfs", _mut_resurrect, "lifecycle"),
     ("non-terminal", "easy", "fcfs", _mut_non_terminal, "lifecycle"),
+    ("missing-end", "easy", "fcfs", _mut_missing_end, "lifecycle"),
+    ("node-count", "easy", "fcfs", _mut_node_count, "lifecycle"),
     ("start-before-submit", "easy", "fcfs", _mut_start_before_submit, "metrics"),
     ("end-before-start", "easy", "fcfs", _mut_end_before_start, "lifecycle"),
     ("duration-skew", "easy", "fcfs", _mut_duration_skew, "metrics"),
     ("split-local", "easy", "fcfs", _mut_split_local, "split"),
     ("split-sum", "easy", "fcfs", _mut_split_sum, "split"),
     ("split-rack-reach", "easy", "fcfs", _mut_split_rack_reach, "split"),
+    ("split-rack-overdraw", "easy", "fcfs", _mut_split_rack_overdraw, "split"),
     ("ledger-open-grant", "easy", "fcfs", _mut_ledger_conservation,
      "ledger-conservation"),
     ("ledger-amount", "easy", "fcfs", _mut_ledger_amount, "ledger-mismatch"),
+    ("ledger-unknown-pool", "easy", "fcfs", _mut_ledger_unknown_pool,
+     "ledger-mismatch"),
     ("walltime-kill-under-none", "easy", "fcfs",
      _mut_walltime_kill_under_none, "lifecycle"),
     ("invalid-kill-reason", "easy", "fcfs", _mut_invalid_kill_reason,
@@ -376,3 +421,57 @@ def test_report_to_dict_is_json_shaped():
     assert doc["ok"] is False
     assert any(v["invariant"] == "pool-oversubscription"
                for v in doc["violations"])
+
+
+# ----------------------------------------------------------------------
+# overlapping failures: the validator charges effective windows only
+# ----------------------------------------------------------------------
+def _overlapping_failure_result(second: FailureEvent):
+    """Two jobs per node on a two-node machine; node 0 fails at t=0 for
+    60 s, and ``second`` hits node 0 while it is still down (or at its
+    repair instant — failures precede repairs within an instant).  The
+    engine absorbs ``second``, repairs node 0 at t=60 and starts the
+    next job there."""
+    spec = ClusterSpec(
+        name="two-node", num_nodes=2, nodes_per_rack=2,
+        node=NodeSpec(cores=8, local_mem=16 * GiB), pool=PoolSpec(),
+    )
+    jobs = [
+        make_job(job_id=i, submit=0.0, nodes=1, walltime=100.0,
+                 runtime=100.0 if i <= 2 else 10.0, mem=1 * GiB)
+        for i in range(1, 5)
+    ]
+    return SchedulerSimulation(
+        Cluster(spec), build_scheduler(), jobs,
+        failures=[FailureEvent(0.0, 0, 60.0), second],
+    ).run()
+
+
+def _repaired_node_job(result):
+    return next(
+        job for job in result.jobs
+        if job.assigned_nodes == [0] and job.start_time == 60.0
+    )
+
+
+@pytest.mark.parametrize(
+    "second",
+    [FailureEvent(0.0, 0, 61.0), FailureEvent(30.0, 0, 100.0),
+     FailureEvent(60.0, 0, 30.0)],
+    ids=["same-instant", "mid-window", "at-repair"],
+)
+def test_absorbed_overlapping_failure_charges_no_window(second):
+    result = _overlapping_failure_result(second)
+    _repaired_node_job(result)  # the engine reused node 0 at t=60
+    report = deep_audit(result)
+    assert report.ok, [str(v) for v in report.errors]
+    assert report.checks["node-downtime"] > 0
+
+
+def test_job_inside_effective_window_is_caught():
+    result = _overlapping_failure_result(FailureEvent(0.0, 0, 61.0))
+    job = _repaired_node_job(result)
+    job.start_time -= 30.0
+    job.end_time -= 30.0
+    classes = {v.invariant for v in deep_audit(result).errors}
+    assert "node-downtime" in classes

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.audit import deep_audit
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.engine import FailureEvent, SchedulerSimulation, audit_result
+from repro.engine import FailureEvent, SchedulerSimulation
 from repro.errors import ConfigurationError
 from repro.memdis import LinearPenalty, NoPenalty
 from repro.sched import Scheduler
@@ -55,7 +56,7 @@ class TestRestartSemantics:
             cluster2(), Scheduler(penalty=NoPenalty()), [job],
             failures=[FailureEvent(250.0, 0, 50.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert job.state is JobState.KILLED
         assert job.kill_reason == "node_failure"
         continuation = next(j for j in result.jobs if j.restart_of == 1)
@@ -73,7 +74,7 @@ class TestRestartSemantics:
             cluster2(), Scheduler(penalty=NoPenalty()), [job],
             failures=[FailureEvent(250.0, 0, 50.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         continuation = next(j for j in result.jobs if j.restart_of == 1)
         assert continuation.runtime == pytest.approx(1000.0)
 
@@ -84,7 +85,7 @@ class TestRestartSemantics:
             cluster2(), Scheduler(penalty=NoPenalty()), [job],
             failures=[FailureEvent(250.0, 0, 50.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert len(result.jobs) == 1
         assert job.state is JobState.KILLED
 
@@ -97,7 +98,7 @@ class TestRestartSemantics:
             Scheduler(penalty=LinearPenalty(beta=1.0)), [job],
             failures=[FailureEvent(240.0, 0, 50.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         continuation = next(j for j in result.jobs if j.restart_of == 1)
         assert continuation.runtime == pytest.approx(800.0)
 
@@ -120,7 +121,7 @@ class TestRestartSemantics:
         assert final.runtime == pytest.approx(600.0)
         assert final.state is JobState.COMPLETED
         assert final.start_time >= 1e6  # waited for repair
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
 
     def test_checkpointing_preserves_completed_work(self):
         """With checkpoints, total completed base-work survives a
@@ -139,7 +140,7 @@ class TestRestartSemantics:
                 cluster2(), Scheduler(penalty=NoPenalty()), jobs,
                 failures=failures,
             ).run()
-            audit_result(result)
+            deep_audit(result).raise_if_failed()
             roots_done = {
                 j.restart_of or j.job_id
                 for j in result.jobs if j.state is JobState.COMPLETED
@@ -155,7 +156,7 @@ class TestRestartSemantics:
         result = SchedulerSimulation(
             cluster2(), Scheduler(penalty=NoPenalty()), [job],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert job.state is JobState.KILLED
         assert job.kill_reason == "walltime"
         assert len(result.jobs) == 1

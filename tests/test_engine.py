@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.audit import deep_audit
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.engine import SchedulerSimulation, audit_result
+from repro.engine import SchedulerSimulation
 from repro.errors import AuditError, ConfigurationError, SimulationError
 from repro.memdis import ContentionPenalty, LinearPenalty, NoPenalty
 from repro.sched import (
@@ -37,7 +38,7 @@ def four_node_cluster(local_mem=16 * GiB, global_pool=0):
 
 def run_sim(cluster, scheduler, jobs, **kwargs):
     result = SchedulerSimulation(cluster, scheduler, jobs, **kwargs).run()
-    audit_result(result)
+    deep_audit(result).raise_if_failed()
     return result
 
 
@@ -279,7 +280,8 @@ class TestMemoryScenarios:
         result = SchedulerSimulation(
             self.three_node_pool_cluster(), sched, [j1, j2, j3]
         ).run()
-        audit_result(result)  # promises not enforced for unaware runs
+        # Promises are not enforced for memory-unaware runs.
+        deep_audit(result).raise_if_failed()
         # The unaware shadow claimed j2 could start immediately (nodes
         # are free), so the long pool-squatting j3 was backfilled...
         assert j3.start_time == 2.0
@@ -374,7 +376,7 @@ class TestKillPolicies:
             Scheduler(penalty=LinearPenalty(0.4), kill_policy=KillPolicy.NONE),
             [job],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert job.state is JobState.COMPLETED
         assert job.end_time == pytest.approx(120.0)
 
@@ -401,7 +403,7 @@ class TestGates:
             gate=PressureGate(threshold=0.8, max_hold=10_000.0),
         )
         result = SchedulerSimulation(cluster, sched, [j1, j2]).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert j1.start_time == 0.0
         # Gate held j2 until j1 released its grant.
         assert j2.start_time >= j1.end_time
@@ -417,7 +419,7 @@ class TestGates:
             gate=PressureGate(threshold=0.8, max_hold=0.0),  # escape instantly
         )
         result = SchedulerSimulation(cluster, sched, [j1, j2]).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert j2.start_time == pytest.approx(1.0)
 
     def test_gates_pass_local_jobs(self):
@@ -433,7 +435,7 @@ class TestGates:
             result = SchedulerSimulation(
                 self.contended_cluster(), sched, fresh
             ).run()
-            audit_result(result)
+            deep_audit(result).raise_if_failed()
             assert all(j.state is JobState.COMPLETED for j in fresh)
             assert fresh[0].start_time == pytest.approx(1.0)
 
@@ -449,7 +451,7 @@ class TestGates:
             gate=AdaptiveGate(max_hold=100_000.0),
         )
         result = SchedulerSimulation(cluster, sched, [j1, j2]).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert j2.start_time == pytest.approx(1.0)
 
 
@@ -465,7 +467,7 @@ class TestSamplingAndResult:
         result = SchedulerSimulation(
             cluster, Scheduler(penalty=NoPenalty()), jobs, sample_interval=50.0
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert len(result.samples) >= 3
         first = result.samples[0]
         assert first.busy_nodes == 4
@@ -525,7 +527,7 @@ class TestAuditCatchesCorruption:
         # Corrupt: pretend both jobs ran on node 0.
         jobs[1].assigned_nodes = [0]
         with pytest.raises(AuditError, match="double-booked"):
-            audit_result(result)
+            deep_audit(result).raise_if_failed()
 
     def test_audit_detects_bad_split(self):
         cluster = four_node_cluster()
@@ -536,7 +538,7 @@ class TestAuditCatchesCorruption:
         ).run()
         job.remote_per_node = 512  # no matching pool grant
         with pytest.raises(AuditError):
-            audit_result(result)
+            deep_audit(result).raise_if_failed()
 
     def test_audit_detects_broken_promise(self):
         cluster = four_node_cluster()
@@ -552,4 +554,4 @@ class TestAuditCatchesCorruption:
 
         result.promises[2] = Promise(2, 0.0, 50.0)
         with pytest.raises(AuditError, match="promise"):
-            audit_result(result)
+            deep_audit(result).raise_if_failed()

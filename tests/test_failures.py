@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.audit import deep_audit
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, NodeState, PoolSpec
 from repro.engine import (
     FailureEvent,
     SchedulerSimulation,
-    audit_result,
     exponential_failure_trace,
 )
 from repro.errors import ConfigurationError
@@ -95,7 +95,7 @@ class TestFailureSemantics:
             cluster, Scheduler(penalty=NoPenalty()), [job],
             failures=[FailureEvent(5.0, 3, 100.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         # Machine has only 3 nodes until repair at t=105.
         assert job.start_time == pytest.approx(105.0)
         assert job.state is JobState.COMPLETED
@@ -110,7 +110,7 @@ class TestFailureSemantics:
             cluster, Scheduler(penalty=NoPenalty()), [victim, bystander],
             failures=[FailureEvent(30.0, 0, 1000.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert victim.state is JobState.KILLED
         assert victim.kill_reason == "node_failure"
         assert victim.end_time == pytest.approx(30.0)
@@ -131,7 +131,7 @@ class TestFailureSemantics:
             cluster, Scheduler(penalty=NoPenalty()), [j1, j2],
             failures=[FailureEvent(10.0, 0, 500.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         # j1 killed at 10; j2 needs 4 nodes, node 0 down until 510.
         assert j1.state is JobState.KILLED
         assert j2.start_time == pytest.approx(510.0)
@@ -146,7 +146,7 @@ class TestFailureSemantics:
             cluster, Scheduler(penalty=NoPenalty()), [j1, j2],
             failures=[FailureEvent(10.0, 0, 10_000.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         # After j1 dies at t=10, three nodes remain: j2 runs on them.
         assert j2.start_time == pytest.approx(10.0)
         assert j2.state is JobState.COMPLETED
@@ -163,7 +163,7 @@ class TestFailureSemantics:
                 FailureEvent(50.0, 3, 100.0),  # node 3 still down
             ],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert job.state is JobState.COMPLETED
 
     def test_failure_spanning_sim_start_applies(self):
@@ -174,7 +174,7 @@ class TestFailureSemantics:
             cluster, Scheduler(penalty=NoPenalty()), [job],
             failures=[FailureEvent(0.0, 2, 200.0)],
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         # Node 2 is down from before the sim starts until the absolute
         # repair time 0 + 200.
         assert job.start_time == pytest.approx(200.0)
@@ -187,7 +187,7 @@ class TestFailureSemantics:
             cluster, Scheduler(penalty=NoPenalty()), [job],
             failures=[FailureEvent(0.0, 2, 50.0)],  # repaired at t=50
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         assert job.start_time == pytest.approx(100.0)
 
     def test_failure_workload_audits_clean(self):
@@ -209,7 +209,7 @@ class TestFailureSemantics:
             Cluster(spec), Scheduler(penalty=NoPenalty()), jobs,
             failures=trace,
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         failed_kills = [j for j in result.killed
                         if j.kill_reason == "node_failure"]
         # With a quarter-horizon MTBF per node some jobs must die.
@@ -240,7 +240,7 @@ class TestFailureSemantics:
             Cluster(spec), Scheduler(penalty=NoPenalty()), jobs,
             failures=trace,
         ).run()
-        audit_result(result)
+        deep_audit(result).raise_if_failed()
         died = [j for j in result.killed if j.kill_reason == "node_failure"]
         survived = result.completed
         if died and survived:

@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.audit import deep_audit
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.engine import SchedulerSimulation, audit_result
+from repro.engine import SchedulerSimulation
 from repro.errors import ConfigurationError
 from repro.memdis import NoPenalty
 from repro.metrics import jain_index, per_user_stats, render_gantt
@@ -131,7 +132,7 @@ class TestFairSharePolicy:
             sched = Scheduler(queue_policy=queue_policy_for(policy_name),
                               penalty=NoPenalty())
             result = SchedulerSimulation(Cluster(spec), sched, fresh).run()
-            audit_result(result)
+            deep_audit(result).raise_if_failed()
             stats = {s.user: s for s in per_user_stats(result.jobs)}
             small_wait = sum(
                 s.mean_wait for u, s in stats.items() if u != "hog"

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import run_config
 from repro.cluster import ClusterSpec
-from repro.engine import SchedulerSimulation, audit_result
+from repro.engine import SchedulerSimulation
 from repro.memdis import FixedRatioSplit, LocalFirstSplit
 from repro.sched import Scheduler, build_scheduler
 from repro.units import GiB

@@ -1,18 +1,21 @@
 """Property-based whole-system tests.
 
 Hypothesis generates random (cluster, workload, policy stack, failure
-trace) scenarios; every resulting schedule must satisfy the auditor's
-seven invariants.  This is the test that explores the interaction
-space no hand-written scenario covers — it found its keep during
-development and stays as the regression net.
+trace) scenarios; every resulting schedule must pass
+:func:`repro.audit.deep_audit` — every invariant class it checks,
+from lifecycle and node/pool occupancy to promises and ordering.  This
+is the test that explores the interaction space no hand-written
+scenario covers — it found its keep during development and stays as
+the regression net.
 """
 
 from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.audit import deep_audit
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.engine import FailureEvent, SchedulerSimulation, audit_result
+from repro.engine import FailureEvent, SchedulerSimulation
 from repro.sched import build_scheduler
 from repro.units import GiB
 from repro.workload import Job, JobState
@@ -107,7 +110,7 @@ def test_random_scenarios_audit_clean(spec, data, kwargs):
     cluster = Cluster(spec)
     scheduler = build_scheduler(**kwargs)
     result = SchedulerSimulation(cluster, scheduler, jobs).run()
-    audit_result(result)
+    deep_audit(result).raise_if_failed()
     # Global liveness: every job reached a terminal state.
     assert all(job.state.terminal for job in result.jobs)
     # The machine is fully drained at the end.
@@ -152,7 +155,7 @@ def test_min_remote_admission_liveness_regression():
     )
     cluster = Cluster(spec)
     result = SchedulerSimulation(cluster, scheduler, jobs).run()
-    audit_result(result)
+    deep_audit(result).raise_if_failed()
     assert all(job.state.terminal for job in result.jobs)
     # The over-wide job is rejected up front, not stranded in the queue.
     assert result.job(14).state is JobState.REJECTED
@@ -183,7 +186,7 @@ def test_random_scenarios_with_failures_audit_clean(spec, data):
     result = SchedulerSimulation(
         cluster, scheduler, jobs, failures=failures
     ).run()
-    audit_result(result)
+    deep_audit(result).raise_if_failed()
     assert all(job.state.terminal for job in result.jobs)
     assert cluster.total_pool_used == 0
 
