@@ -47,11 +47,12 @@ running set).  Incremental mutation never invalidates the cache:
 On top of the incremental index sits the **pass-shared sweep cursor**
 (:class:`SweepCursor`, via :meth:`AvailabilityProfile.sweep_cursor`):
 one scheduling pass runs many ``earliest_start`` scans against the
-same profile, all anchored at the same instant, and every scan used to
-rebuild the same sweep state (free-set copies, release folding,
-reservation activation) from scratch.  The cursor materializes the
-per-breakpoint availability states **once** — lazily, as deep as the
-deepest scan reaches — and keeps them exact across
+same profile, all anchored at the same instant, and the stock scan
+rebuilds the same sweep state (free-set copies, release folding,
+reservation activation) from scratch on every call.  The cursor
+materializes the per-breakpoint availability states **once** —
+lazily, as deep as the deepest scan reaches, as ``int`` node bitmasks
+over a mask twin of the release sweep — and keeps them exact across
 ``add_reservation`` by patching the affected prefix in place, so a
 pass walks the merged release/reservation timeline once instead of
 once per queued job.  Since the reservation layer became persistent
@@ -86,7 +87,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..workload.job import Job
@@ -125,6 +126,38 @@ def set_scan_observer(
     return previous
 
 
+def _mask_of(node_ids: Iterable[int]) -> int:
+    """Node bitmask of an id collection: bit *i* set for node *i*
+    (cluster node ids are dense ``0..N-1``)."""
+    mask = 0
+    for node_id in node_ids:
+        mask |= 1 << node_id
+    return mask
+
+
+#: ``bytes.translate`` table turning a binary digit string into 0/1 bytes.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _ids_of(mask: int) -> Iterable[int]:
+    """The node ids set in ``mask``, ascending.
+
+    A sparse mask is peeled bit by bit; a denser one is decoded in one
+    C-level pass over its binary digits (``compress`` keeps the
+    positions of the 1 bytes), whose cost follows the mask width
+    instead of the set-bit count.
+    """
+    if mask.bit_count() * 8 < mask.bit_length():
+        ids = []
+        while mask:
+            low = mask & -mask
+            ids.append(low.bit_length() - 1)
+            mask ^= low
+        return ids
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # byte i = bit i
+    return compress(range(len(bits)), bits)
+
+
 def _release_time(release: tuple) -> float:
     return release[0]
 
@@ -157,9 +190,11 @@ class AvailabilityProfile:
 
     Built from a snapshot of the cluster plus the running set; callers
     then add (and remove) reservations.  All queries are pure — the
-    profile never touches live cluster state.  :meth:`apply_start` is
-    the one mutator, used when a scheduling pass starts a job and wants
-    the profile to track the new cluster state without a rebuild.
+    profile never touches live cluster state.  Besides the reservation
+    edits, three mutators keep a long-lived profile equivalent to a
+    fresh build without rebuilding it: :meth:`apply_start` and
+    :meth:`apply_release` fold a job start or completion into the
+    release timeline, and :meth:`rebase` advances the clock.
     """
 
     def __init__(
@@ -180,7 +215,8 @@ class AvailabilityProfile:
         }
         # Node lists and grant dicts are referenced, not copied: both
         # are written once at job start and never mutated afterwards,
-        # and the profile is ephemeral (one scheduling pass).
+        # so sharing them stays safe however many passes a strategy
+        # cache keeps this profile alive for.
         releases: List[Tuple[float, Iterable[int], Dict[str, int]]] = []
         #: Any release clamped by the overrun convention?  A clamped
         #: time is a function of *this* build's ``now``, so such a
@@ -207,6 +243,13 @@ class AvailabilityProfile:
         )
         self._rel_cum_free: List[FrozenSet[int]] = []  # lazy prefix
         self._rel_cum_pool: List[Dict[str, int]] = []  # lazy prefix
+        # The same free-node sweep as bitmasks (bit i = node i), for
+        # the sweep cursor only; built on its first use, then patched
+        # by the folds (see _release_mask).  Each release's own mask
+        # is kept once computed, aligned with the timeline.
+        self._base_mask: Optional[int] = None
+        self._rel_cum_mask: List[int] = []  # lazy prefix
+        self._rel_masks: List[Optional[int]] = [None] * len(releases)
         # Subsequence of releases that return pool memory (window scans).
         self._grant_times: List[float] = [
             item[0] for item in releases if item[2]
@@ -222,6 +265,9 @@ class AvailabilityProfile:
         # insertion-order list (the tie-order key the pool sweep uses).
         self._res_start_times: List[float] = []
         self._res_start_refs: List[Reservation] = []
+        #: Node bitmask of each reservation, aligned with the start
+        #: timeline (computed once, at registration).
+        self._res_start_masks: List[int] = []
         self._res_end_times: List[float] = []
         self._res_end_refs: List[Reservation] = []
         self._res_index: Dict[int, int] = {}  # id(res) -> index
@@ -253,6 +299,35 @@ class AvailabilityProfile:
             cum_free.append(cur_free)
             cum_pool.append(prev_pool)
             i += 1
+
+    def _release_mask(self, k: int) -> int:
+        """Free-node bitmask after the first ``k`` releases (before any
+        reservation claim) — the mask twin of ``_rel_cum_free[k - 1]``.
+
+        Built lazily on the sweep cursor's first use (profiles that are
+        only queried through the set-based methods never pay for it)
+        and then kept exact by the folds, which patch the materialized
+        masks in place instead of dropping them.
+        """
+        base = self._base_mask
+        if base is None:
+            base = self._base_mask = _mask_of(self._base_free)
+        if not k:
+            return base
+        cum = self._rel_cum_mask
+        i = len(cum)
+        if i < k:
+            releases = self._releases
+            rel_masks = self._rel_masks
+            cur = cum[i - 1] if i else base
+            while i < k:
+                mask = rel_masks[i]
+                if mask is None:
+                    mask = rel_masks[i] = _mask_of(releases[i][1])
+                cur |= mask
+                cum.append(cur)
+                i += 1
+        return cum[k - 1]
 
     # ------------------------------------------------------------------
     @property
@@ -362,14 +437,16 @@ class AvailabilityProfile:
         self._reservations.append(reservation)
         insort(self._res_bounds, reservation.start)
         insort(self._res_bounds, reservation.end)
+        mask = _mask_of(reservation.node_ids)
         pos = bisect_right(self._res_start_times, reservation.start)
         self._res_start_times.insert(pos, reservation.start)
         self._res_start_refs.insert(pos, reservation)
+        self._res_start_masks.insert(pos, mask)
         pos = bisect_right(self._res_end_times, reservation.end)
         self._res_end_times.insert(pos, reservation.end)
         self._res_end_refs.insert(pos, reservation)
         if self._cursor is not None:
-            self._cursor._on_add(reservation)
+            self._cursor._on_add(reservation, mask)
         return reservation
 
     def remove_reservation(self, reservation: Reservation) -> None:
@@ -402,6 +479,7 @@ class AvailabilityProfile:
             pos += 1
         del self._res_start_times[pos]
         del self._res_start_refs[pos]
+        del self._res_start_masks[pos]
         pos = bisect_left(self._res_end_times, actual.end)
         while self._res_end_refs[pos] is not actual:
             pos += 1
@@ -425,6 +503,7 @@ class AvailabilityProfile:
         self._res_bounds.clear()
         self._res_start_times.clear()
         self._res_start_refs.clear()
+        self._res_start_masks.clear()
         self._res_end_times.clear()
         self._res_end_refs.clear()
         self._cursor = None
@@ -466,6 +545,7 @@ class AvailabilityProfile:
                 pos += 1
             del self._res_start_times[pos]
             del self._res_start_refs[pos]
+            del self._res_start_masks[pos]
             pos = bisect_left(self._res_end_times, res.end)
             while self._res_end_refs[pos] is not res:
                 pos += 1
@@ -524,6 +604,21 @@ class AvailabilityProfile:
                 entry_pool = dict(self._base_pool_free)
             self._rel_cum_free.insert(pos, entry_free)
             self._rel_cum_pool.insert(pos, entry_pool)
+        base_mask = self._base_mask
+        mask: Optional[int] = None
+        if base_mask is not None:
+            # The same patch on the mask sweep: the pre-patch state
+            # before the insertion point becomes the new entry, then
+            # the materialized prefix loses the nodes.
+            mask = _mask_of(node_ids)
+            keep = ~mask
+            cum_mask = self._rel_cum_mask
+            limit = min(pos, len(cum_mask))
+            if pos <= len(cum_mask):
+                cum_mask.insert(pos, cum_mask[pos - 1] if pos else base_mask)
+            for i in range(limit):
+                cum_mask[i] &= keep
+            self._base_mask = base_mask & keep
         self._base_free = self._base_free - node_set
         for pool_id, amount in grants.items():
             self._base_pool_free[pool_id] = (
@@ -531,6 +626,7 @@ class AvailabilityProfile:
             )
         self._rel_times.insert(pos, est_end)
         self._releases.insert(pos, (est_end, node_ids, grants))
+        self._rel_masks.insert(pos, mask)
         released = self._rel_cum_count[pos - 1] if pos else 0
         self._rel_cum_count.insert(pos, released + len(node_set))
         for i in range(pos + 1, len(self._rel_cum_count)):
@@ -589,6 +685,20 @@ class AvailabilityProfile:
             # timeline.
             self._rel_cum_free.clear()
             self._rel_cum_pool.clear()
+        base_mask = self._base_mask
+        mask = self._rel_masks[pos]
+        if base_mask is not None:
+            # Masks patch cheaply, so the mask sweep is kept: entries
+            # before the removed one gain the nodes, later ones
+            # already held them.
+            if mask is None:
+                mask = _mask_of(node_tuple)
+            cum_mask = self._rel_cum_mask
+            if pos < len(cum_mask):
+                del cum_mask[pos]
+            for i in range(min(pos, len(cum_mask))):
+                cum_mask[i] |= mask
+            self._base_mask = base_mask | mask
         self._base_free = self._base_free | node_set
         for pool_id, amount in grants.items():
             self._base_pool_free[pool_id] = (
@@ -596,6 +706,7 @@ class AvailabilityProfile:
             )
         del rel_times[pos]
         del self._releases[pos]
+        del self._rel_masks[pos]
         count = len(node_set)
         cum = self._rel_cum_count
         del cum[pos]
@@ -1026,29 +1137,38 @@ class SweepCursor:
     same profile — EASY's shadow plus one hypothesis trial per
     candidate, conservative backfill's one scan (or replay probe) per
     queued job — and every scan is anchored at the profile instant.
-    The stock scan rebuilds its sweep state per call: two free-set
-    copies, release folding, and a walk over every standing
-    reservation's start/end events.  The cursor hoists the *point-in-
-    time* half of that state out of the scan: for each breakpoint of
-    the merged grid it materializes (lazily, in grid order, only as
-    deep as scans actually reach) the exact free-node set — releases
-    folded in, active reservation claims folded out — plus its size
-    and the release-timeline position.  Scans then reject a breakpoint
+    The stock scan rebuilds its set-based sweep state per call:
+    copies of the free set, release folding, and a walk over every
+    standing reservation's start/end events.  The cursor hoists the
+    *point-in-time* half of that state out of the scan: for each
+    breakpoint of the merged grid it materializes (lazily, in grid
+    order, only as deep as scans actually reach) the exact free-node
+    state — releases folded in, active reservation claims folded out —
+    plus its size and the release-timeline position.  Scans then reject a breakpoint
     with one integer compare, and only the *window* half (reservations
     whose start falls inside the candidate window, which depends on
     the queried duration) is computed per scan, by bisect.
+
+    Node sets inside the cursor are ``int`` bitmasks (bit *i* = node
+    *i*): a state is the profile's release mask
+    (:meth:`AvailabilityProfile._release_mask`) with the active claims'
+    masks cleared, counted with ``int.bit_count``; the window claims
+    are the OR of the in-window reservations' masks.  A ``frozenset``
+    is built only for a candidate whose counts pass, because placement
+    consumes sets: the profile's set state at the same release index
+    minus the few nodes the claims removed (see :meth:`_free_set`).
 
     Exactness:
 
     * materialized states are computed with the profile's own activity
       tests (``start <= t + eps and t < end - eps``) against the same
-      cached release sweep, so a grid state equals what the stock scan
-      derives at that breakpoint;
+      release sweep, so a grid state is the mask of exactly the set the
+      stock scan derives at that breakpoint;
     * :meth:`AvailabilityProfile.add_reservation` keeps the cursor
       live by inserting the new bounds into the grid (fresh states,
-      computed directly) and subtracting the new claim from the
-      materialized points inside its window — set difference is
-      idempotent, so the patch is exact without claim counts;
+      computed directly) and clearing the new claim's bits from the
+      materialized points inside its window — clearing a bit twice
+      changes nothing, so the patch is exact without claim counts;
       withdrawals (:meth:`_on_remove`) recompute the affected window
       instead, since claim folding is not invertible from the states
       alone;
@@ -1080,40 +1200,61 @@ class SweepCursor:
         #: Merged breakpoint grid (deduplicated, ascending, anchored
         #: at the profile instant) — exactly ``profile.breakpoints()``.
         self._times: List[float] = profile.breakpoints()
-        # Materialized prefix, aligned with _times: exact free set,
-        # its size, and bisect_right(rel_times, t + eps).
-        self._free: List[FrozenSet[int]] = []
+        # Materialized prefix, aligned with _times: exact free-node
+        # mask, its popcount, and bisect_right(rel_times, t + eps).
+        self._free: List[int] = []
         self._counts: List[int] = []
         self._k: List[int] = []
         self.last_scan_max_reject: int = 0
 
     # ------------------------------------------------------------------
-    def _state_at(self, t: float) -> Tuple[FrozenSet[int], int]:
-        """Exact (free set, release index) at instant ``t``."""
+    def _state_at(self, t: float) -> Tuple[int, int]:
+        """Exact (free-node mask, release index) at instant ``t``."""
         p = self._p
         t_eps = t + _EPS
         k = bisect_right(p._rel_times, t_eps)
-        if k:
-            p._ensure_swept(k - 1)
-            base = p._rel_cum_free[k - 1]
+        cum = p._rel_cum_mask
+        if k <= len(cum) and p._base_mask is not None:  # materialized
+            state = cum[k - 1] if k else p._base_mask
         else:
-            base = p._base_free
+            state = p._release_mask(k)
         if p._reservations:
             # Only reservations that have *started* by t can be active;
             # the start-sorted timeline bounds the walk (membership of
             # the active set is unchanged, so the state is identical).
             hi = bisect_right(p._res_start_times, t_eps)
             refs = p._res_start_refs
-            cur: Optional[set] = None
+            masks = p._res_start_masks
+            claimed = 0
             for i in range(hi):
-                res = refs[i]
-                if t < res.end - _EPS:
-                    if cur is None:
-                        cur = set(base)
-                    cur.difference_update(res.node_ids)
-            if cur is not None:
-                base = frozenset(cur)
-        return base, k
+                if t < refs[i].end - _EPS:
+                    claimed |= masks[i]
+            if claimed:
+                state &= ~claimed
+        return state, k
+
+    def _free_set(self, k: int, free: int) -> FrozenSet[int]:
+        """The node set of ``free``, a subset of release mask ``k``.
+
+        Decoding a wide mask bit by bit is slow, so the set is derived
+        from the profile's set state at the same release index minus
+        the few nodes the claims removed.  When nothing was removed,
+        the profile's own set comes back — including the identity of
+        ``cluster.free_ids`` that placement short-circuits on.
+        """
+        p = self._p
+        if k:
+            p._ensure_swept(k - 1)
+            base = p._rel_cum_free[k - 1]
+            release = p._rel_cum_mask[k - 1]
+        else:
+            base = p._base_free
+            release = p._base_mask
+        # The state at k was computed from the release mask sweep, so
+        # its entry (or the base mask) is materialized; folds drop the
+        # cursor before they could shorten it.
+        removed = release & ~free
+        return base.difference(_ids_of(removed)) if removed else base
 
     def _materialize_to(self, j: int) -> None:
         """Extend the materialized prefix through grid index ``j``."""
@@ -1127,7 +1268,7 @@ class SweepCursor:
         while i <= j:
             state, k = self._state_at(times[i])
             free.append(state)
-            counts.append(len(state))
+            counts.append(state.bit_count())
             ks.append(k)
             i += 1
 
@@ -1135,7 +1276,7 @@ class SweepCursor:
         """Materialize a freshly inserted grid time at ``pos``."""
         state, k = self._state_at(self._times[pos])
         self._free.insert(pos, state)
-        self._counts.insert(pos, len(state))
+        self._counts.insert(pos, state.bit_count())
         self._k.insert(pos, k)
 
     def _rebase(self, now: float) -> None:
@@ -1171,13 +1312,13 @@ class SweepCursor:
             if self._free:
                 self._insert_point(0)
 
-    def _on_add(self, res: Reservation) -> None:
-        """Track a reservation added to the live profile.
+    def _on_add(self, res: Reservation, mask: int) -> None:
+        """Track a reservation (node mask ``mask``) added to the live
+        profile.
 
         Called by ``add_reservation`` after the reservation is fully
         registered, so direct state computation for new grid points
-        already sees it; the subtraction over existing points is
-        idempotent for them.
+        already sees it; clearing its bits again there is a no-op.
         """
         times = self._times
         free = self._free
@@ -1189,9 +1330,9 @@ class SweepCursor:
                     times.insert(pos, bound)
                     if pos < len(free):
                         self._insert_point(pos)
-        if not free:
+        if not free or not mask:
             return
-        node_ids = res.node_ids
+        keep = ~mask
         counts = self._counts
         start, end = res.start, res.end
         lo = bisect_left(times, start - _EPS)
@@ -1200,10 +1341,10 @@ class SweepCursor:
             t = times[j]
             if start <= t + _EPS and t < end - _EPS:
                 state = free[j]
-                if not state.isdisjoint(node_ids):
-                    state = state.difference(node_ids)
+                if state & mask:
+                    state &= keep
                     free[j] = state
-                    counts[j] = len(state)
+                    counts[j] = state.bit_count()
 
     def _on_remove(self, dropped: Iterable[Reservation]) -> None:
         """Track withdrawn reservations on the live profile, in place.
@@ -1224,7 +1365,7 @@ class SweepCursor:
                 if res.start <= t + _EPS and t < res.end - _EPS:
                     state, k = self._state_at(t)
                     free[j] = state
-                    counts[j] = len(state)
+                    counts[j] = state.bit_count()
                     ks[j] = k
                     break
         anchor = times[0]
@@ -1312,6 +1453,7 @@ class SweepCursor:
         # rejection pins it to the demand sentinel for good.
         max_reject = 0
         trial_nodes: Optional[FrozenSet[int]] = None
+        trial_mask = 0
         trial_end_eps = 0.0
         trial_const: Optional[int] = None
         extra: Optional[float] = None
@@ -1327,25 +1469,28 @@ class SweepCursor:
             # nodes drawn from the base free set.  Every materialized
             # state is then a superset of the base (releases only
             # add), so the trial's overlap with any breakpoint state
-            # is its full node count — an O(1) per-candidate prune.
+            # is its full node count — an O(1) per-candidate prune,
+            # and no mask is built for the trial.
             if not p._reservations and trial_nodes <= p._base_free:
                 trial_const = len(trial_nodes)
+            else:
+                trial_mask = _mask_of(trial_nodes)
 
         counts = self._counts
         free_states = self._free
         ks = self._k
-        reservations = p._reservations
-        num_res = len(reservations)
+        num_res = len(p._reservations)
         start_times = p._res_start_times
-        start_refs = p._res_start_refs
-        # Sliding window-claim state: nodes claimed by reservations
-        # whose start falls strictly inside the current candidate
-        # window ``(t, t + duration)``.  Both edges move right as the
-        # scan advances, so membership follows two monotone pointers
-        # with per-node claim counts — each reservation is touched
-        # O(1) times per scan, as in the stock implementation.
+        start_masks = p._res_start_masks
+        # Sliding window-claim mask: the OR of the node masks of the
+        # reservations whose start falls strictly inside the current
+        # candidate window ``(t, t + duration)``.  Both edges move
+        # right as the scan advances, following two monotone pointers
+        # as in the stock implementation; entering reservations OR in,
+        # and a left-edge exit re-ORs the (short) remaining window,
+        # since a bit may be claimed by more than one reservation.
         wi_lo = wi_hi = 0
-        ws_claim: Dict[int, int] = {}
+        ws_claim = 0
 
         pending_direct: Optional[float] = None
         if start == times[0]:
@@ -1382,12 +1527,12 @@ class SweepCursor:
             if grid_j is not None:
                 if grid_j >= len(free_states):
                     self._materialize_to(grid_j)
-                fs = free_states[grid_j]
+                free = free_states[grid_j]
                 cnt0 = counts[grid_j]
                 k = ks[grid_j]
             else:
-                fs, k = self._state_at(t)
-                cnt0 = len(fs)
+                free, k = self._state_at(t)
+                cnt0 = free.bit_count()
             # Trial overlay and the O(1) count prune — the
             # overwhelmingly common rejection costs two compares.
             trial_active = trial is not None and t < trial_end_eps
@@ -1395,17 +1540,13 @@ class SweepCursor:
             if trial_active:
                 if trial_const is not None:
                     cnt -= trial_const
-                else:
-                    for node_id in trial_nodes:
-                        if node_id in fs:
-                            cnt -= 1
+                elif free & trial_mask:
+                    free &= ~trial_mask
+                    cnt = free.bit_count()
             if cnt < nodes_needed:
                 if cnt > max_reject:
                     max_reject = cnt
                 continue
-            free: FrozenSet[int] = fs
-            if trial_active and cnt != cnt0:
-                free = fs.difference(trial_nodes)
             t_eps = t + _EPS
             end = t + duration
             end_eps = end - _EPS
@@ -1413,34 +1554,32 @@ class SweepCursor:
                 # Slide the window edges to ``(t, t + duration)``,
                 # mirroring the stock pointer discipline exactly
                 # (including the degenerate-window snap).
+                left = False
                 while wi_lo < num_res and start_times[wi_lo] <= t_eps:
                     if wi_lo < wi_hi:
-                        for node_id in start_refs[wi_lo].node_ids:
-                            left = ws_claim[node_id] - 1
-                            if left:
-                                ws_claim[node_id] = left
-                            else:
-                                del ws_claim[node_id]
+                        left = True
                     wi_lo += 1
                 if wi_hi < wi_lo:
                     wi_hi = wi_lo
+                if left:
+                    ws_claim = 0
+                    for w in range(wi_lo, wi_hi):
+                        ws_claim |= start_masks[w]
                 while wi_hi < num_res and start_times[wi_hi] < end_eps:
-                    for node_id in start_refs[wi_hi].node_ids:
-                        ws_claim[node_id] = ws_claim.get(node_id, 0) + 1
+                    ws_claim |= start_masks[wi_hi]
                     wi_hi += 1
-                if ws_claim:
-                    windowed = cnt
-                    for node_id in ws_claim:
-                        if node_id in free:
-                            windowed -= 1
+                if free & ws_claim:
+                    windowed = (free & ~ws_claim).bit_count()
                     if windowed < nodes_needed:
                         if windowed > max_reject:
                             max_reject = windowed
                         continue
-                    if windowed != cnt:
-                        free = free - ws_claim.keys()
+                    free &= ~ws_claim
+            free_set = self._free_set(k, free)
+            if trial_const and trial_active:
+                free_set = free_set.difference(trial_nodes)
             result = self._window_accept(
-                t, t_eps, end, end_eps, k, free, job, remote_per_node,
+                t, t_eps, end, end_eps, k, free_set, job, remote_per_node,
                 placement, allocator, memory_aware, trial, trial_active,
                 wi_lo, wi_hi,
             )

@@ -52,6 +52,13 @@ _OVERRUN_GRACE = 1.0
 _EPS = 1e-9
 
 
+def mask_nodes(mask: int) -> FrozenSet[int]:
+    """Node ids of a sweep-cursor bitmask (bit *i* = node *i*),
+    decoded one bit at a time — independent of the profile's own
+    decoder."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 class _Release(NamedTuple):
     time: float
     node_ids: Tuple[int, ...]

@@ -29,7 +29,7 @@ from repro.sched import AvailabilityProfile, FirstFitPlacement, Reservation
 from repro.units import GiB, HOUR
 from repro.workload import Job, JobState
 
-from ._oracles import OracleProfile
+from ._oracles import OracleProfile, mask_nodes
 
 _POOL_KINDS = ("hybrid", "global", "rack", "none")
 
@@ -38,7 +38,12 @@ def _dur(job: Job) -> float:
     return job.walltime
 
 
-def _cluster(kind: str = "hybrid") -> Cluster:
+#: Node count of the wide topology: the cursor's node bitmasks then
+#: span more than two 64-bit machine words (ids pass 64 and 128).
+_WIDE = 200
+
+
+def _cluster(kind: str = "hybrid", num_nodes: int = 10) -> Cluster:
     pool = {
         "hybrid": PoolSpec(rack_pool=24 * GiB, global_pool=48 * GiB),
         "global": PoolSpec(global_pool=64 * GiB),
@@ -46,7 +51,7 @@ def _cluster(kind: str = "hybrid") -> Cluster:
         "none": PoolSpec(),
     }[kind]
     return Cluster(ClusterSpec(
-        name=f"scan-{kind}", num_nodes=10, nodes_per_rack=5,
+        name=f"scan-{kind}", num_nodes=num_nodes, nodes_per_rack=5,
         node=NodeSpec(cores=8, local_mem=16 * GiB), pool=pool,
     ))
 
@@ -55,7 +60,8 @@ def _start_job(rng, cluster, job_id, now):
     free = list(cluster.sorted_free_ids())
     if not free:
         return None
-    take = rng.randint(1, min(3, len(free)))
+    # Up to 3 nodes on the 10-node machine, scaled with the width.
+    take = rng.randint(1, min(3 * cluster.num_nodes // 10, len(free)))
     node_ids = free[:take]
     walltime = rng.choice((600.0, 1800.0, HOUR, 2 * HOUR, math.inf))
     job = Job(job_id=job_id, submit_time=0.0, nodes=take,
@@ -91,11 +97,25 @@ def _rebuild(cluster, running, now, held, trial):
     return fresh, ref
 
 
-def _run_script(seed: int, kind: str, check_oracle: bool) -> int:
+def _assert_states_decode(profile, cursor, where: str) -> None:
+    """Every materialized cursor state is the mask of exactly the
+    stock free-node set at its grid time, and its count that set's
+    size."""
+    for j, mask in enumerate(cursor._free):
+        want = profile.free_at(cursor._times[j])[0]
+        assert mask_nodes(mask) == want, f"{where}: state {j} decodes wrong"
+        assert cursor._counts[j] == len(want), f"{where}: count {j}"
+
+
+def _run_script(seed: int, kind: str, check_oracle: bool,
+                num_nodes: int = 10) -> int:
     """Run one seeded interleaved scan/mutate/fold script, checking
-    every scan as it goes; returns the number of scans checked."""
+    every scan as it goes; returns the number of scans checked.
+
+    Every random size is scaled to ``num_nodes``; at the default 10
+    nodes the draws are exactly the original script's."""
     rng = random.Random(seed)
-    cluster = _cluster(kind)
+    cluster = _cluster(kind, num_nodes)
     now = rng.uniform(0.0, 300.0)
     running = []
     for i in range(rng.randint(1, 4)):
@@ -112,7 +132,7 @@ def _run_script(seed: int, kind: str, check_oracle: bool) -> int:
     for step in range(14):
         roll = rng.random()
         if roll < 0.55:
-            nodes = rng.randint(1, 10)
+            nodes = rng.randint(1, num_nodes)
             duration = rng.choice((300.0, 900.0, HOUR))
             remote = rng.choice((0, 0, 2, 4)) * GiB
             job = Job(job_id=1, submit_time=0.0, nodes=nodes,
@@ -168,8 +188,9 @@ def _run_script(seed: int, kind: str, check_oracle: bool) -> int:
             res = Reservation(
                 job_id=100 + step, start=start,
                 end=start + rng.choice((0.0, 600.0, HOUR)),
-                node_ids=tuple(range(rng.randint(0, 6),
-                                     rng.randint(7, 10))),
+                node_ids=tuple(range(
+                    rng.randint(0, 6 * num_nodes // 10),
+                    rng.randint(7 * num_nodes // 10, num_nodes))),
                 pool_grants=(),
             )
             profile.add_reservation(res)
@@ -199,22 +220,34 @@ def _run_script(seed: int, kind: str, check_oracle: bool) -> int:
                 job.start_time + job.walltime)
             stale, cursor = cursor, profile.sweep_cursor()
             assert cursor is not stale
+        _assert_states_decode(profile, cursor, f"step {step}")
     return scans
 
 
+def _seeds(seeds, wide_seeds):
+    """10-node scripts under their seed ids, plus wide-machine scripts
+    (``wide-<seed>``) whose masks span several machine words."""
+    return [pytest.param(seed, 10, id=str(seed)) for seed in seeds] + [
+        pytest.param(seed, _WIDE, id=f"wide-{seed}") for seed in wide_seeds
+    ]
+
+
 class TestScanParity:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_scans_match_fresh_rebuild(self, seed):
+    @pytest.mark.parametrize("seed,num_nodes", _seeds(range(40), range(8)))
+    def test_scans_match_fresh_rebuild(self, seed, num_nodes):
         """A cursor carried through reservation edits (and re-fetched
         after every fold) answers every scan as a rebuild does."""
-        assert _run_script(seed, "hybrid", check_oracle=False) > 0
+        assert _run_script(seed, "hybrid", check_oracle=False,
+                           num_nodes=num_nodes) > 0
 
-    @pytest.mark.parametrize("seed", range(0, 40, 4))
-    def test_scans_match_oracle(self, seed):
+    @pytest.mark.parametrize("seed,num_nodes",
+                             _seeds(range(0, 40, 4), range(0, 16, 4)))
+    def test_scans_match_oracle(self, seed, num_nodes):
         """The same scripts on every pool topology, also checked
         against the rescan-everything oracle."""
         kind = _POOL_KINDS[(seed // 4) % len(_POOL_KINDS)]
-        assert _run_script(seed, kind, check_oracle=True) > 0
+        assert _run_script(seed, kind, check_oracle=True,
+                           num_nodes=num_nodes) > 0
 
 
 def _lifecycle_world():
