@@ -51,13 +51,14 @@ same profile, all anchored at the same instant, and the stock scan
 rebuilds the same sweep state (free-set copies, release folding,
 reservation activation) from scratch on every call.  The cursor
 materializes the per-breakpoint availability states **once** —
-lazily, as deep as the deepest scan reaches, as ``int`` node bitmasks
-over a mask twin of the release sweep — and keeps them exact across
-``add_reservation`` by patching the affected prefix in place, so a
-pass walks the merged release/reservation timeline once instead of
-once per queued job.  Since the reservation layer became persistent
-(the conservative strategy retains its plan across passes), the
-cursor's lifetime is no longer bounded by the pass either:
+lazily, as deep as the deepest scan reaches, as free-node counts plus
+``int`` node bitmasks wherever a reservation claim is active — and
+keeps them exact across ``add_reservation`` by patching the affected
+prefix in place, so a pass walks the merged release/reservation
+timeline once instead of once per queued job.  Since the reservation
+layer became persistent (the conservative strategy retains its plan
+across passes), the cursor's lifetime is no longer bounded by the pass
+either:
 
 * ``rebase`` re-anchors a live cursor in place
   (:meth:`SweepCursor._rebase`) — materialized states are pure
@@ -140,20 +141,10 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _ids_of(mask: int) -> Iterable[int]:
-    """The node ids set in ``mask``, ascending.
-
-    A sparse mask is peeled bit by bit; a denser one is decoded in one
-    C-level pass over its binary digits (``compress`` keeps the
-    positions of the 1 bytes), whose cost follows the mask width
-    instead of the set-bit count.
-    """
-    if mask.bit_count() * 8 < mask.bit_length():
-        ids = []
-        while mask:
-            low = mask & -mask
-            ids.append(low.bit_length() - 1)
-            mask ^= low
-        return ids
+    """The node ids set in ``mask``, ascending, decoded in one C-level
+    pass over its binary digits (``compress`` keeps the positions of
+    the 1 bytes).  The cost follows the mask width, as does the
+    frozenset difference that consumes the ids."""
     bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # byte i = bit i
     return compress(range(len(bits)), bits)
 
@@ -244,9 +235,10 @@ class AvailabilityProfile:
         self._rel_cum_free: List[FrozenSet[int]] = []  # lazy prefix
         self._rel_cum_pool: List[Dict[str, int]] = []  # lazy prefix
         # The same free-node sweep as bitmasks (bit i = node i), for
-        # the sweep cursor only; built on its first use, then patched
-        # by the folds (see _release_mask).  Each release's own mask
-        # is kept once computed, aligned with the timeline.
+        # the sweep cursor's claim arithmetic only; built the first
+        # time a claim meets it, then patched by the folds (see
+        # _release_mask).  Each release's own mask is kept once
+        # computed, aligned with the timeline.
         self._base_mask: Optional[int] = None
         self._rel_cum_mask: List[int] = []  # lazy prefix
         self._rel_masks: List[Optional[int]] = [None] * len(releases)
@@ -304,8 +296,9 @@ class AvailabilityProfile:
         """Free-node bitmask after the first ``k`` releases (before any
         reservation claim) — the mask twin of ``_rel_cum_free[k - 1]``.
 
-        Built lazily on the sweep cursor's first use (profiles that are
-        only queried through the set-based methods never pay for it)
+        Built lazily the first time the sweep cursor intersects a claim
+        with the release state — profiles that never carry a claim
+        (EASY's, whose trial stays a constant count) never pay for it —
         and then kept exact by the folds, which patch the materialized
         masks in place instead of dropping them.
         """
@@ -1144,26 +1137,34 @@ class SweepCursor:
     breakpoint of the merged grid it materializes (lazily, in grid
     order, only as deep as scans actually reach) the exact free-node
     state — releases folded in, active reservation claims folded out —
-    plus its size and the release-timeline position.  Scans then reject a breakpoint
-    with one integer compare, and only the *window* half (reservations
-    whose start falls inside the candidate window, which depends on
-    the queried duration) is computed per scan, by bisect.
+    as the release-timeline position, the free count, and (where a
+    claim is active) the free-node mask.  Scans then reject a
+    breakpoint with one integer compare, and only the *window* half
+    (reservations whose start falls inside the candidate window, which
+    depends on the queried duration) is computed per scan, by bisect.
 
     Node sets inside the cursor are ``int`` bitmasks (bit *i* = node
-    *i*): a state is the profile's release mask
-    (:meth:`AvailabilityProfile._release_mask`) with the active claims'
-    masks cleared, counted with ``int.bit_count``; the window claims
-    are the OR of the in-window reservations' masks.  A ``frozenset``
-    is built only for a candidate whose counts pass, because placement
-    consumes sets: the profile's set state at the same release index
-    minus the few nodes the claims removed (see :meth:`_free_set`).
+    *i*).  Where a claim is active, a state stores its free-node mask:
+    the profile's release mask
+    (:meth:`AvailabilityProfile._release_mask`) with the claims'
+    masks cleared, counted with ``int.bit_count``.  Where none is
+    active the state stores ``None``: its nodes are the release state
+    itself and its count is the release count, plain integer
+    arithmetic.  The release mask is looked up only when a claim has
+    to be intersected with it, so a profile that never carries a
+    claim — EASY with its constant-count trial — builds no mask at
+    all.  The window claims are the OR of the in-window reservations'
+    masks.  A ``frozenset`` is built only for a candidate whose counts
+    pass, because placement consumes sets: the profile's set state at
+    the same release index minus the few nodes the claims removed (see
+    :meth:`_free_set`).
 
     Exactness:
 
     * materialized states are computed with the profile's own activity
       tests (``start <= t + eps and t < end - eps``) against the same
-      release sweep, so a grid state is the mask of exactly the set the
-      stock scan derives at that breakpoint;
+      release sweep, so a grid state's free nodes are exactly the set
+      the stock scan derives at that breakpoint;
     * :meth:`AvailabilityProfile.add_reservation` keeps the cursor
       live by inserting the new bounds into the grid (fresh states,
       computed directly) and clearing the new claim's bits from the
@@ -1200,24 +1201,21 @@ class SweepCursor:
         #: Merged breakpoint grid (deduplicated, ascending, anchored
         #: at the profile instant) — exactly ``profile.breakpoints()``.
         self._times: List[float] = profile.breakpoints()
-        # Materialized prefix, aligned with _times: exact free-node
-        # mask, its popcount, and bisect_right(rel_times, t + eps).
-        self._free: List[int] = []
+        # Materialized prefix, aligned with _times: the exact free-node
+        # mask (None where no claim is active: the release state), the
+        # free-node count, and bisect_right(rel_times, t + eps).
+        self._free: List[Optional[int]] = []
         self._counts: List[int] = []
         self._k: List[int] = []
         self.last_scan_max_reject: int = 0
 
     # ------------------------------------------------------------------
-    def _state_at(self, t: float) -> Tuple[int, int]:
-        """Exact (free-node mask, release index) at instant ``t``."""
+    def _state_at(self, t: float) -> Tuple[Optional[int], int, int]:
+        """Exact (free-node mask, free count, release index) at instant
+        ``t``; the mask is None when no claim is active at ``t``."""
         p = self._p
         t_eps = t + _EPS
         k = bisect_right(p._rel_times, t_eps)
-        cum = p._rel_cum_mask
-        if k <= len(cum) and p._base_mask is not None:  # materialized
-            state = cum[k - 1] if k else p._base_mask
-        else:
-            state = p._release_mask(k)
         if p._reservations:
             # Only reservations that have *started* by t can be active;
             # the start-sorted timeline bounds the walk (membership of
@@ -1230,30 +1228,29 @@ class SweepCursor:
                 if t < refs[i].end - _EPS:
                     claimed |= masks[i]
             if claimed:
-                state &= ~claimed
-        return state, k
+                state = p._release_mask(k) & ~claimed
+                return state, state.bit_count(), k
+        return None, len(p._base_free) + (p._rel_cum_count[k - 1] if k else 0), k
 
-    def _free_set(self, k: int, free: int) -> FrozenSet[int]:
-        """The node set of ``free``, a subset of release mask ``k``.
+    def _free_set(self, k: int, free: Optional[int]) -> FrozenSet[int]:
+        """The node set of ``free``, a subset of release mask ``k``
+        (None: the release state itself).
 
-        Decoding a wide mask bit by bit is slow, so the set is derived
-        from the profile's set state at the same release index minus
-        the few nodes the claims removed.  When nothing was removed,
-        the profile's own set comes back — including the identity of
-        ``cluster.free_ids`` that placement short-circuits on.
+        Decoding a wide mask is slow, so the set is the profile's set
+        state at the same release index minus the decoded nodes the
+        claims removed.  When nothing was removed, the profile's own
+        set comes back — including the identity of ``cluster.free_ids``
+        that placement short-circuits on.
         """
         p = self._p
         if k:
             p._ensure_swept(k - 1)
             base = p._rel_cum_free[k - 1]
-            release = p._rel_cum_mask[k - 1]
         else:
             base = p._base_free
-            release = p._base_mask
-        # The state at k was computed from the release mask sweep, so
-        # its entry (or the base mask) is materialized; folds drop the
-        # cursor before they could shorten it.
-        removed = release & ~free
+        if free is None:
+            return base
+        removed = p._release_mask(k) & ~free
         return base.difference(_ids_of(removed)) if removed else base
 
     def _materialize_to(self, j: int) -> None:
@@ -1266,17 +1263,17 @@ class SweepCursor:
         counts = self._counts
         ks = self._k
         while i <= j:
-            state, k = self._state_at(times[i])
+            state, count, k = self._state_at(times[i])
             free.append(state)
-            counts.append(state.bit_count())
+            counts.append(count)
             ks.append(k)
             i += 1
 
     def _insert_point(self, pos: int) -> None:
         """Materialize a freshly inserted grid time at ``pos``."""
-        state, k = self._state_at(self._times[pos])
+        state, count, k = self._state_at(self._times[pos])
         self._free.insert(pos, state)
-        self._counts.insert(pos, state.bit_count())
+        self._counts.insert(pos, count)
         self._k.insert(pos, k)
 
     def _rebase(self, now: float) -> None:
@@ -1332,8 +1329,10 @@ class SweepCursor:
                         self._insert_point(pos)
         if not free or not mask:
             return
+        p = self._p
         keep = ~mask
         counts = self._counts
+        ks = self._k
         start, end = res.start, res.end
         lo = bisect_left(times, start - _EPS)
         hi = min(len(free), bisect_left(times, end))
@@ -1341,10 +1340,14 @@ class SweepCursor:
             t = times[j]
             if start <= t + _EPS and t < end - _EPS:
                 state = free[j]
-                if state & mask:
+                if state is None:  # first claim here: leave the release state
+                    state = p._release_mask(ks[j]) & keep
+                elif state & mask:
                     state &= keep
-                    free[j] = state
-                    counts[j] = state.bit_count()
+                else:
+                    continue
+                free[j] = state
+                counts[j] = state.bit_count()
 
     def _on_remove(self, dropped: Iterable[Reservation]) -> None:
         """Track withdrawn reservations on the live profile, in place.
@@ -1363,10 +1366,7 @@ class SweepCursor:
             t = times[j]
             for res in dropped:
                 if res.start <= t + _EPS and t < res.end - _EPS:
-                    state, k = self._state_at(t)
-                    free[j] = state
-                    counts[j] = state.bit_count()
-                    ks[j] = k
+                    free[j], counts[j], ks[j] = self._state_at(t)
                     break
         anchor = times[0]
         for res in dropped:
@@ -1487,8 +1487,10 @@ class SweepCursor:
         # candidate window ``(t, t + duration)``.  Both edges move
         # right as the scan advances, following two monotone pointers
         # as in the stock implementation; entering reservations OR in,
-        # and a left-edge exit re-ORs the (short) remaining window,
-        # since a bit may be claimed by more than one reservation.
+        # and a left-edge exit re-ORs the remaining window — O(window)
+        # big-int ORs per exit, since a bit may be claimed by more than
+        # one reservation.  (wmix-conservative at seed 42: 61,247 exits
+        # re-OR 3.6 masks on average, 19 at p99, 36 at most.)
         wi_lo = wi_hi = 0
         ws_claim = 0
 
@@ -1528,21 +1530,22 @@ class SweepCursor:
                 if grid_j >= len(free_states):
                     self._materialize_to(grid_j)
                 free = free_states[grid_j]
-                cnt0 = counts[grid_j]
+                cnt = counts[grid_j]
                 k = ks[grid_j]
             else:
-                free, k = self._state_at(t)
-                cnt0 = free.bit_count()
+                free, cnt, k = self._state_at(t)
             # Trial overlay and the O(1) count prune — the
             # overwhelmingly common rejection costs two compares.
             trial_active = trial is not None and t < trial_end_eps
-            cnt = cnt0
             if trial_active:
                 if trial_const is not None:
                     cnt -= trial_const
-                elif free & trial_mask:
-                    free &= ~trial_mask
-                    cnt = free.bit_count()
+                else:
+                    if free is None:
+                        free = p._release_mask(k)
+                    if free & trial_mask:
+                        free &= ~trial_mask
+                        cnt = free.bit_count()
             if cnt < nodes_needed:
                 if cnt > max_reject:
                     max_reject = cnt
@@ -1568,13 +1571,16 @@ class SweepCursor:
                 while wi_hi < num_res and start_times[wi_hi] < end_eps:
                     ws_claim |= start_masks[wi_hi]
                     wi_hi += 1
-                if free & ws_claim:
-                    windowed = (free & ~ws_claim).bit_count()
-                    if windowed < nodes_needed:
-                        if windowed > max_reject:
-                            max_reject = windowed
-                        continue
-                    free &= ~ws_claim
+                if ws_claim:
+                    if free is None:
+                        free = p._release_mask(k)
+                    if free & ws_claim:
+                        windowed = (free & ~ws_claim).bit_count()
+                        if windowed < nodes_needed:
+                            if windowed > max_reject:
+                                max_reject = windowed
+                            continue
+                        free &= ~ws_claim
             free_set = self._free_set(k, free)
             if trial_const and trial_active:
                 free_set = free_set.difference(trial_nodes)

@@ -59,6 +59,17 @@ def mask_nodes(mask: int) -> FrozenSet[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def cursor_free_nodes(cursor, j: int) -> FrozenSet[int]:
+    """Free node ids of a sweep cursor's materialized state ``j``,
+    decoded with :func:`mask_nodes`: its free-node mask, or where the
+    state holds none (no active claim), the profile's release mask at
+    the state's release index."""
+    mask = cursor._free[j]
+    if mask is None:
+        mask = cursor._p._release_mask(cursor._k[j])
+    return mask_nodes(mask)
+
+
 class _Release(NamedTuple):
     time: float
     node_ids: Tuple[int, ...]

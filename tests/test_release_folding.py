@@ -28,7 +28,7 @@ from repro.sched.base import Scheduler, SchedulerContext, build_scheduler
 from repro.units import GiB, HOUR
 from repro.workload import Job, JobState
 
-from ._oracles import OracleProfile, mask_nodes
+from ._oracles import OracleProfile, cursor_free_nodes
 
 
 def _duration_of(job: Job) -> float:
@@ -116,7 +116,7 @@ def _assert_cursor_equals_rebuild(profile, fresh):
     """After a fold, the profile's cursor must equal a fresh build's
     cursor state by state, not just on query results: at every
     breakpoint the grid time, free-node mask, count, and release-
-    timeline index match, and the mask decodes to exactly the stock
+    timeline index match, and the state decodes to exactly the stock
     free set at that instant."""
     assert profile._cursor is None, "fold left the pre-fold cursor live"
     cursor = profile.sweep_cursor()
@@ -130,7 +130,7 @@ def _assert_cursor_equals_rebuild(profile, fresh):
             ref._free[j], ref._counts[j], ref._k[j]
         ), f"cursor state at breakpoint {t} differs from a fresh build"
         want = fresh.free_at(t)[0]
-        assert mask_nodes(cursor._free[j]) == want, f"state at {t} decodes wrong"
+        assert cursor_free_nodes(cursor, j) == want, f"state at {t} decodes wrong"
         assert cursor._counts[j] == len(want), f"count at {t}"
 
 

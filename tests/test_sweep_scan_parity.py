@@ -29,7 +29,7 @@ from repro.sched import AvailabilityProfile, FirstFitPlacement, Reservation
 from repro.units import GiB, HOUR
 from repro.workload import Job, JobState
 
-from ._oracles import OracleProfile, mask_nodes
+from ._oracles import OracleProfile, cursor_free_nodes
 
 _POOL_KINDS = ("hybrid", "global", "rack", "none")
 
@@ -98,12 +98,13 @@ def _rebuild(cluster, running, now, held, trial):
 
 
 def _assert_states_decode(profile, cursor, where: str) -> None:
-    """Every materialized cursor state is the mask of exactly the
-    stock free-node set at its grid time, and its count that set's
+    """Every materialized cursor state decodes to exactly the stock
+    free-node set at its grid time, and its count is that set's
     size."""
-    for j, mask in enumerate(cursor._free):
+    for j in range(len(cursor._free)):
         want = profile.free_at(cursor._times[j])[0]
-        assert mask_nodes(mask) == want, f"{where}: state {j} decodes wrong"
+        got = cursor_free_nodes(cursor, j)
+        assert got == want, f"{where}: state {j} decodes wrong"
         assert cursor._counts[j] == len(want), f"{where}: count {j}"
 
 
