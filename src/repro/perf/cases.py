@@ -4,8 +4,9 @@ Four layers, mirroring how scheduler cycle latency composes:
 
 * ``profile_build``    — constructing an :class:`AvailabilityProfile`
   from a loaded 64-node machine (done at least once per cycle);
-* ``profile_queries``  — ``earliest_start`` / ``window_free`` against a
-  loaded profile with reservations (the backfill inner loop);
+* ``profile_queries``  — sweep-cursor ``earliest_start`` scans against
+  a loaded profile with reservations, from the anchor and as
+  ``after=`` resumes (the backfill inner loop);
 * ``easy_pass`` / ``conservative_pass`` — one full scheduling pass over
   a primed mid-simulation state (deep queue, busy machine);
 * ``e2e_easy`` / ``e2e_conservative`` — complete 10k-job simulations
@@ -212,36 +213,37 @@ def _run_profile_build(builds: int) -> Tuple[float, int]:
     return time.perf_counter() - t0, builds
 
 
-def _run_profile_queries(queries: int, window_queries: int) -> Tuple[float, int]:
+def _run_profile_queries(queries: int, resumes: int) -> Tuple[float, int]:
     cluster, scheduler, running, queue = _primed_state("easy", 40, queries)
     ctx = SchedulerContext(
         cluster=cluster, now=0.0, queue=queue, running=running,
         start_job=lambda decision: None,
     )
     allocator = scheduler.resolve_allocator(cluster)
+    placement = scheduler.placement
     profile = scheduler.build_profile(ctx)
+    cursor = profile.sweep_cursor()
+    scans = [
+        (job, scheduler.est_duration(job, cluster),
+         scheduler.split_for(job, cluster).remote)
+        for job in queue[:queries]
+    ]
     # A handful of standing reservations, like a conservative pass.
-    for job in queue[:6]:
-        split = scheduler.split_for(job, cluster)
-        res = profile.earliest_start(
-            job, scheduler.est_duration(job, cluster), split.remote,
-            scheduler.placement, allocator,
-        )
+    for job, duration, remote in scans[:6]:
+        res = cursor.earliest_start(job, duration, remote, placement, allocator)
         if res is not None:
             profile.add_reservation(res)
     probes = profile.breakpoints()
     t0 = time.perf_counter()
-    for job in queue[:queries]:
-        split = scheduler.split_for(job, cluster)
-        profile.earliest_start(
-            job, scheduler.est_duration(job, cluster), split.remote,
-            scheduler.placement, allocator,
+    for job, duration, remote in scans:
+        cursor.earliest_start(job, duration, remote, placement, allocator)
+    for i in range(resumes):
+        job, duration, remote = scans[i % len(scans)]
+        cursor.earliest_start(
+            job, duration, remote, placement, allocator,
+            after=probes[i % len(probes)],
         )
-    for i in range(window_queries):
-        t = probes[i % len(probes)]
-        profile.window_free(t, 3600.0 + (i % 7) * 1800.0)
-        profile.free_at(t)
-    return time.perf_counter() - t0, queries + window_queries
+    return time.perf_counter() - t0, queries + resumes
 
 
 def _run_pass(backfill: str, passes: int, num_pending: int) -> Tuple[float, int]:
@@ -388,7 +390,7 @@ def build_cases(
     e2e_jobs = max(60, int((_E2E_JOBS_QUICK if quick else _E2E_JOBS_FULL) * scale))
     builds = max(10, int((500 if quick else 2_000) * scale))
     queries = max(5, int((40 if quick else 120) * scale))
-    window_queries = max(20, int((500 if quick else 2_000) * scale))
+    resumes = max(20, int((500 if quick else 2_000) * scale))
     passes = max(2, int((8 if quick else 30) * scale))
     pending = max(8, int(48 * min(scale, 1.0)))
     trace_jobs = max(120, int((600 if quick else 2_500) * scale))
@@ -404,9 +406,9 @@ def build_cases(
         ),
         PerfCase(
             name="profile_queries",
-            description=f"earliest_start x{queries} + window/instant "
-            f"queries x{window_queries} on a loaded profile",
-            run_once=lambda: _run_profile_queries(queries, window_queries),
+            description=f"cursor earliest_start x{queries} + after= "
+            f"resumes x{resumes} on a loaded profile",
+            run_once=lambda: _run_profile_queries(queries, resumes),
             repeats=5,
             tags=("micro",),
         ),

@@ -498,12 +498,12 @@ class ConservativeBackfill(BackfillStrategy):
       can now start, a blown probe) *spills* the not-yet-validated
       suffix (``truncate_reservations``) — a fresh scan for entry *p*
       must see exactly the reservations of entries ahead of it — and
-      the stock loop takes over from that position, re-adding as it
-      goes;
+      the plain scan-per-entry loop takes over from that position,
+      re-adding as it goes;
     * the retained fast path is armed only when the probe cap sits at
       *now* and no retained reservation is due at or before it
       (otherwise reservations are cleared up front and the pass runs
-      stock — the pre-retention behavior).
+      the plain loop — the pre-retention behavior).
 
     **Layer 3 — the replay bounds.**  With the plan retained, each
     entry still needs proof that no breakpoint below its cached start
@@ -627,7 +627,7 @@ class ConservativeBackfill(BackfillStrategy):
         # shortcut is separately guarded by ``cap <= now`` — and the
         # first entry needing a real probe or scan spills.  A plan
         # that is stale or already due spills everything up front and
-        # the pass runs stock (the pre-retention behavior,
+        # the pass runs the plain loop (the pre-retention behavior,
         # bit-identical).
         live = False
         if profile.reservation_count:
@@ -656,7 +656,7 @@ class ConservativeBackfill(BackfillStrategy):
             reservations of entries ahead of it — the retained claims
             of entries at or after *i* would under-count availability.
             The validated prefix (insertion indices ``0..retained-1``)
-            stands exactly as the stock pass would have rebuilt it.
+            stands exactly as the plain loop would have rebuilt it.
             """
             nonlocal live, sweep
             if live:
@@ -725,7 +725,7 @@ class ConservativeBackfill(BackfillStrategy):
                 cached_res = entry[1]
                 if cached_res is None:
                     # Static verdict (cannot fit the machine at all);
-                    # replaying it skips the scan the stock loop would
+                    # replaying it skips the scan the plain loop would
                     # burn re-deriving None.
                     entries.append(entry)
                     continue

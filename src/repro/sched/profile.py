@@ -17,44 +17,33 @@ rack's pool the way 16 nodes in one rack can.
 
 Implementation: a sorted release timeline with a cumulative sweep —
 free-node set, pool levels, and released-node counts per breakpoint —
-materialized lazily as queries reach deeper into the future and cached
-thereafter.  Queries bisect into the cached sweep instead of replaying
-all releases (the old implementation rescanned every release and
-reservation per query, making ``earliest_start`` quadratic in the
-running set).  Incremental mutation never invalidates the cache:
+materialized lazily as scans reach deeper into the future and cached
+thereafter.  Incremental mutation never invalidates that cache:
 
 * :meth:`add_reservation` / :meth:`remove_reservation` are O(log n)
   locate + insert into sorted boundary arrays — the release sweep is
-  untouched because reservations are layered on top of it at query
-  time.  Reservations additionally live in a **interval index**: two
-  sorted event timelines (one by start, one by end) that
-  :meth:`earliest_start` walks *incrementally* while scanning
-  breakpoints, maintaining the active reservation set and a claimed-
-  node counter as resume state.  A scan therefore touches each
-  reservation O(1) times instead of rescanning the whole list at
-  every breakpoint — the fix for conservative backfill's
-  O(depth²)-ish cycles, where ``depth`` reservations stand at once;
+  untouched because reservations are layered on top of it at scan
+  time.  Reservations also live in an **interval index**: two sorted
+  event timelines (one by start, one by end) that a scan locates its
+  active and window-crossing reservations in by bisect;
 * :meth:`apply_start` folds a job started *mid-pass* into the profile
   by patching the affected prefix of the cached sweep in place —
-  bit-for-bit equivalent to rebuilding from the post-start cluster,
-  which is what EASY's hypothesis test previously did per candidate;
+  bit-for-bit equivalent to rebuilding from the post-start cluster;
 * :meth:`apply_release` is the inverse fold for a job *completion*:
   the job's release entry leaves the timeline and its resources join
   the base availability, again patching only the affected sweep
-  prefix.  Strategies use it to keep a cached profile valid across
-  job completions — previously the dominant rebuild trigger.
+  prefix, so a strategy can keep a cached profile valid across job
+  completions.
 
-On top of the incremental index sits the **pass-shared sweep cursor**
-(:class:`SweepCursor`, via :meth:`AvailabilityProfile.sweep_cursor`):
-one scheduling pass runs many ``earliest_start`` scans against the
-same profile, all anchored at the same instant, and the stock scan
-rebuilds the same sweep state (free-set copies, release folding,
-reservation activation) from scratch on every call.  The cursor
+The one availability scan is the **sweep cursor**
+(:class:`SweepCursor`, via :meth:`AvailabilityProfile.sweep_cursor`).
+One scheduling pass runs many ``earliest_start`` scans against the
+same profile, all anchored at the same instant, so the cursor
 materializes the per-breakpoint availability states **once** —
 lazily, as deep as the deepest scan reaches, as free-node counts plus
 ``int`` node bitmasks wherever a reservation claim is active — and
 keeps them exact across ``add_reservation`` by patching the affected
-prefix in place, so a pass walks the merged release/reservation
+prefix in place: a pass walks the merged release/reservation
 timeline once instead of once per queued job.  Since the reservation
 layer became persistent (the conservative strategy retains its plan
 across passes), the cursor's lifetime is no longer bounded by the pass
@@ -74,10 +63,10 @@ either:
   release fold measured slower than this drop-and-rebuild, so a caller
   that holds a cursor across a fold must re-fetch it.
 
-All query results are bitwise identical to the brute-force oracle
-(``tests/_oracles.py``); the equivalence suite enforces this on
-randomized workloads, and end-to-end schedules are pinned by the
-golden digests in ``tests/golden/``.
+Every scan result and every cursor state is bitwise identical to the
+brute-force oracle (``tests/_oracles.py``); the equivalence suites
+enforce this on randomized workloads, and end-to-end schedules are
+pinned by the golden digests in ``tests/golden/``.
 
 Overrun clamp: a running job whose estimate has already expired (only
 possible under the ``none`` kill policy) is treated as ending shortly
@@ -368,9 +357,7 @@ class AvailabilityProfile:
         many passes of a retained reservation plan.  The release folds
         (``apply_start`` / ``apply_release``) and
         ``clear_reservations`` drop it: a cursor fetched before a fold
-        is stale afterwards, and callers re-fetch it here.  All cursor
-        queries are bit-identical to the corresponding profile queries
-        — the cursor is pure acceleration.
+        is stale afterwards, and callers re-fetch it here.
         """
         cursor = self._cursor
         if cursor is None:
@@ -716,30 +703,22 @@ class AvailabilityProfile:
         return True
 
     # ------------------------------------------------------------------
-    def breakpoints(
-        self, after: Optional[float] = None, not_after: Optional[float] = None
-    ) -> List[float]:
-        """Times at which availability can change, ascending.
-
-        Candidate start instants for any job: *now* (or ``after``) plus
-        every future release/reservation boundary.  ``not_after``
-        truncates the list to boundaries at or before that time (plus
-        the start instant) — callers that stop scanning there anyway
-        skip the set/sort work for the excluded tail.
-        """
-        start = self._now if after is None else max(after, self._now)
+    def breakpoints(self) -> List[float]:
+        """Times at which availability can change, ascending: *now*
+        plus every future release/reservation boundary — the sweep
+        cursor's candidate grid."""
+        start = self._now
         rel = self._rel_times
         bounds = self._res_bounds
-        lo = bisect_right(rel, start)
-        blo = bisect_right(bounds, start)
-        hi = len(rel) if not_after is None else bisect_right(rel, not_after)
-        bhi = len(bounds) if not_after is None else bisect_right(bounds, not_after)
+        i = bisect_right(rel, start)
+        j = bisect_right(bounds, start)
+        hi = len(rel)
+        bhi = len(bounds)
         # Two-pointer merge with dedup of the (already sorted) release
         # and reservation-boundary tails — same list sorted(set(...))
         # would produce, without hashing every float.
         out = [start]
         last = start
-        i, j = lo, blo
         while i < hi and j < bhi:
             a, b = rel[i], bounds[j]
             if a <= b:
@@ -766,60 +745,6 @@ class AvailabilityProfile:
             j += 1
         return out
 
-    # ------------------------------------------------------------------
-    def _nodes_at(self, time: float) -> FrozenSet[int]:
-        """Free node set at instant ``time`` (cached-sweep bisect)."""
-        k = bisect_right(self._rel_times, time + _EPS)
-        if k:
-            self._ensure_swept(k - 1)
-            base = self._rel_cum_free[k - 1]
-        else:
-            base = self._base_free
-        if not self._reservations:
-            return base
-        free: Optional[set] = None
-        for res in self._reservations:
-            if res.start <= time + _EPS and time < res.end - _EPS:
-                if free is None:
-                    free = set(base)
-                free.difference_update(res.node_ids)
-        return base if free is None else frozenset(free)
-
-    def _pool_at(self, time: float) -> Dict[str, int]:
-        """Free pool MiB at instant ``time`` (always a fresh dict)."""
-        k = bisect_right(self._rel_times, time + _EPS)
-        if k:
-            self._ensure_swept(k - 1)
-            pool = dict(self._rel_cum_pool[k - 1])
-        else:
-            pool = dict(self._base_pool_free)
-        for res in self._reservations:
-            if res.start <= time + _EPS and time < res.end - _EPS:
-                for pool_id, amount in res.pool_grants:
-                    pool[pool_id] = pool.get(pool_id, 0) - amount
-        return pool
-
-    def free_at(self, time: float) -> Tuple[FrozenSet[int], Dict[str, int]]:
-        """Free node set and pool free MiB at instant ``time``."""
-        return self._nodes_at(time), self._pool_at(time)
-
-    # ------------------------------------------------------------------
-    def _window_nodes(self, start: float, end: float) -> FrozenSet[int]:
-        """Nodes free *throughout* ``[start, end)``: free at ``start``
-        minus any node claimed by a reservation beginning inside the
-        window (releases only add)."""
-        free = self._nodes_at(start)
-        if self._reservations:
-            claimed: Optional[set] = None
-            for res in self._reservations:
-                if start + _EPS < res.start < end - _EPS:
-                    if claimed is None:
-                        claimed = set()
-                    claimed.update(res.node_ids)
-            if claimed:
-                free = frozenset(free - claimed)
-        return free
-
     @staticmethod
     def _apply_pool_events(
         pool: Dict[str, int], pool_min: Dict[str, int], events: List[tuple]
@@ -828,12 +753,11 @@ class AvailabilityProfile:
         ``pool``, folding the running per-pool minimum into
         ``pool_min`` in place.
 
-        Event order at equal times replicates the reference
-        implementation exactly (reservation events in insertion order,
-        start before end, then releases in timeline order) — the
-        running minimum is order-sensitive within an instant.  This is
-        the single home of that tie-order contract; both window_free
-        and earliest_start route through it.
+        Event order at equal times is the reference order (reservation
+        events in insertion order, start before end, then releases in
+        timeline order) — the running minimum is order-sensitive
+        within an instant.  This is the single home of that tie-order
+        contract.
         """
         events.sort(key=_event_order)
         level = dict(pool)
@@ -846,40 +770,6 @@ class AvailabilityProfile:
                 if level[pool_id] < pool_min.get(pool_id, 0):
                     pool_min[pool_id] = level[pool_id]
 
-    def _window_pool_min(self, start: float, end: float) -> Dict[str, int]:
-        """Per-pool minimum free capacity over ``[start, end)``: a
-        reservation starting mid-window dips availability, so the
-        level series inside the window is swept tracking the minimum.
-        """
-        pool = self._pool_at(start)
-        pool_min = dict(pool)
-        if not self._reservations:
-            return pool_min
-        events: List[tuple] = []
-        for j, res in enumerate(self._reservations):
-            if start + _EPS < res.start < end - _EPS:
-                events.append((res.start, 0, j, 0, res.pool_grants, -1))
-            if start + _EPS < res.end < end - _EPS:
-                events.append((res.end, 0, j, 1, res.pool_grants, +1))
-        lo = bisect_right(self._grant_times, start + _EPS)
-        hi = bisect_left(self._grant_times, end - _EPS)
-        for k in range(lo, hi):
-            events.append(
-                (self._grant_times[k], 1, k, 0, self._grant_maps[k], +1)
-            )
-        if events:
-            self._apply_pool_events(pool, pool_min, events)
-        return pool_min
-
-    def window_free(
-        self, start: float, duration: float
-    ) -> Tuple[FrozenSet[int], Dict[str, int]]:
-        """Nodes free *throughout* ``[start, start+duration)`` and the
-        per-pool minimum free capacity over the window."""
-        end = start + duration
-        return self._window_nodes(start, end), self._window_pool_min(start, end)
-
-    # ------------------------------------------------------------------
     def earliest_start(
         self,
         job: Job,
@@ -891,236 +781,11 @@ class AvailabilityProfile:
         memory_aware: bool = True,
         not_after: Optional[float] = None,
     ) -> Optional[Reservation]:
-        """Earliest reservation satisfying nodes (and, when
-        ``memory_aware``, pool memory) for the job's whole window.
-
-        Without ``not_after``, returns ``None`` only when the job
-        cannot run even on an empty machine (too many nodes, or remote
-        demand exceeding total pool reach) — callers treat that as
-        "reject".  With ``not_after``, the scan stops once breakpoints
-        exceed that bound and returns ``None`` — for callers that only
-        need "can it start by T?" (EASY's no-delay check), which makes
-        a negative answer cost a handful of breakpoints instead of a
-        walk to the end of the timeline.
-
-        The scan walks the breakpoint sweep in time order.  Two
-        prunings keep it cheap without changing any answer: the
-        released-node prefix sum bounds the free count from above (so
-        hopeless breakpoints are skipped without materializing a set —
-        release node sets are disjoint on a real cluster, and an
-        overcount can only *fail* to prune), and the pool minimum (the
-        expensive half of a window query) is only computed once the
-        node-count check passes.
-
-        Reservations are consumed through the interval index: the scan
-        keeps the *active* reservation set (and a claimed-node
-        counter) as resume state, advancing two pointers over the
-        start- and end-sorted event timelines as ``t`` grows, and
-        locates window-crossing events by bisect.  Each standing
-        reservation is therefore touched O(1) times per scan instead
-        of once per breakpoint — with ``depth`` standing reservations
-        (conservative backfill) that is the difference between
-        O(B + R) and O(B·R) per queued job.
-        """
-        nodes_needed = job.nodes
-        rel_times = self._rel_times
-        cum_count = self._rel_cum_count
-        base_count = len(self._base_free)
-        reservations = self._reservations
-        releases = self._releases
-        grant_times = self._grant_times
-        grant_maps = self._grant_maps
-        res_index = self._res_index
-        start_times = self._res_start_times
-        start_refs = self._res_start_refs
-        end_times = self._res_end_times
-        end_refs = self._res_end_refs
-        num_res = len(reservations)
-        # Sweep resume state, all updated incrementally as t advances:
-        # the reservations active at the current t (by identity), how
-        # many active claims cover each node, the released-so-far node
-        # set (``avail``), and ``cur`` — available minus claimed, the
-        # candidate free set maintained in place so an evaluated
-        # breakpoint costs O(changes) instead of O(cluster).
-        si = ei = hi_s = 0
-        active: Dict[int, Reservation] = {}
-        claimed: Dict[int, int] = {}
-        avail: Optional[set] = None
-        cur: Optional[set] = None
-        last_k = 0
-        # Window-start claims: reservations whose start falls inside
-        # the *current* candidate window (t, t+duration).  Both window
-        # edges move right as t grows, so the member set is maintained
-        # by two more monotone pointers (``si`` doubles as the left
-        # edge), and ``overlap`` — how many claimed-for-the-window
-        # nodes are in ``cur`` — is kept exact at every mutation of
-        # either side, making the rejection test O(1) per breakpoint.
-        ws_claim: Dict[int, int] = {}
-        overlap = 0
-        # Tighten the count bound for EASY's trial shape: a single
-        # reservation that is active from `now` past the scan cap and
-        # whose nodes are base-free subtracts exactly its node count
-        # from every window in the scan (base and releases are
-        # disjoint, so the arithmetic is exact, and an upper bound can
-        # only fail to prune — never prune a feasible breakpoint).
-        tighten = 0
-        if len(reservations) == 1 and not_after is not None:
-            only = reservations[0]
-            trial_nodes = frozenset(only.node_ids)
-            if (
-                only.start <= self._now + _EPS
-                and only.end - _EPS > not_after
-                and self._base_free.issuperset(trial_nodes)
-            ):
-                tighten = len(trial_nodes)
-        for t in self.breakpoints(after=after, not_after=not_after):
-            if not_after is not None and t > not_after:
-                return None  # only the start instant can exceed the cap
-            t_eps = t + _EPS
-            k = bisect_right(rel_times, t_eps)
-            if base_count + (cum_count[k - 1] if k else 0) - tighten < nodes_needed:
-                continue
-            end = t + duration
-            end_eps = end - _EPS
-            # Catch the sweep state up to t: fold releases into the
-            # available set, then activate/retire reservations and
-            # slide the window-start range.  The candidate free set
-            # ``cur`` and the ``overlap`` counter track every change
-            # in place.
-            if cur is None:
-                avail = set(self._base_free)
-                cur = set(avail)
-            while last_k < k:
-                for node_id in releases[last_k][1]:
-                    avail.add(node_id)
-                    if node_id not in claimed and node_id not in cur:
-                        cur.add(node_id)
-                        if node_id in ws_claim:
-                            overlap += 1
-                last_k += 1
-            if num_res:
-                while si < num_res and start_times[si] <= t_eps:
-                    res = start_refs[si]
-                    if si < hi_s:
-                        # Leaving the window-start range (it may also
-                        # be activating, handled just below).
-                        for node_id in res.node_ids:
-                            left = ws_claim[node_id] - 1
-                            if left:
-                                ws_claim[node_id] = left
-                            else:
-                                del ws_claim[node_id]
-                                if node_id in cur:
-                                    overlap -= 1
-                    si += 1
-                    # Same activity test as the one-shot queries; a
-                    # reservation already over by its own start never
-                    # enters the active set.
-                    if t < res.end - _EPS:
-                        active[id(res)] = res
-                        for node_id in res.node_ids:
-                            held = claimed.get(node_id, 0)
-                            claimed[node_id] = held + 1
-                            if not held and node_id in cur:
-                                cur.discard(node_id)
-                                if node_id in ws_claim:
-                                    overlap -= 1
-                while ei < num_res and end_times[ei] - _EPS <= t:
-                    res = end_refs[ei]
-                    ei += 1
-                    key = id(res)
-                    if key in active:
-                        del active[key]
-                        for node_id in res.node_ids:
-                            left = claimed[node_id] - 1
-                            if left:
-                                claimed[node_id] = left
-                            else:
-                                del claimed[node_id]
-                                if node_id in avail and node_id not in cur:
-                                    cur.add(node_id)
-                                    if node_id in ws_claim:
-                                        overlap += 1
-                if hi_s < si:
-                    hi_s = si  # starts at or before t_eps left the range
-                while hi_s < num_res and start_times[hi_s] < end_eps:
-                    for node_id in start_refs[hi_s].node_ids:
-                        held = ws_claim.get(node_id, 0)
-                        ws_claim[node_id] = held + 1
-                        if not held and node_id in cur:
-                            overlap += 1
-                    hi_s += 1
-            if len(cur) - overlap < nodes_needed:
-                continue
-            free = cur - ws_claim.keys() if ws_claim else cur
-            # Node count passed — this breakpoint almost always wins,
-            # so only here do the pool dicts and event lists get
-            # built.  ``k`` positions the cached pool sweep.
-            active_grants: Optional[list] = None
-            events: Optional[list] = None
-            if num_res:
-                if active:
-                    for res in active.values():
-                        if res.pool_grants:
-                            if active_grants is None:
-                                active_grants = []
-                            active_grants.append(res.pool_grants)
-                for w in range(si, hi_s):
-                    res = start_refs[w]
-                    if events is None:
-                        events = []
-                    events.append(
-                        (res.start, 0, res_index[id(res)], 0, res.pool_grants, -1)
-                    )
-                lo_e = bisect_right(end_times, t_eps)
-                hi_e = bisect_left(end_times, end_eps, lo_e)
-                for w in range(lo_e, hi_e):
-                    res = end_refs[w]
-                    if events is None:
-                        events = []
-                    events.append(
-                        (res.end, 0, res_index[id(res)], 1, res.pool_grants, +1)
-                    )
-            if k:
-                self._ensure_swept(k - 1)
-            # Pool state at t, then the windowed minimum.
-            pool = dict(self._rel_cum_pool[k - 1]) if k else dict(self._base_pool_free)
-            if active_grants:
-                for grant_pairs in active_grants:
-                    for pool_id, amount in grant_pairs:
-                        pool[pool_id] = pool.get(pool_id, 0) - amount
-            pool_min = dict(pool)
-            if reservations:
-                lo = bisect_right(grant_times, t_eps)
-                hi = bisect_left(grant_times, end_eps)
-                if lo < hi:
-                    if events is None:
-                        events = []
-                    for g in range(lo, hi):
-                        events.append((grant_times[g], 1, g, 0, grant_maps[g], +1))
-                if events:
-                    self._apply_pool_events(pool, pool_min, events)
-            node_ids = placement.select(
-                self._cluster, free, nodes_needed, remote_per_node, pool_min
-            )
-            if node_ids is None:
-                continue
-            if not memory_aware or remote_per_node == 0:
-                plan: Optional[Dict[str, int]] = {}
-            else:
-                plan = allocator.plan(
-                    self._cluster, node_ids, remote_per_node, free_override=pool_min
-                )
-                if plan is None:
-                    continue
-            return Reservation(
-                job_id=job.job_id,
-                start=t,
-                end=end,
-                node_ids=tuple(node_ids),
-                pool_grants=tuple(sorted((plan or {}).items())),
-            )
-        return None
+        """A scan of the shared cursor: :meth:`SweepCursor.earliest_start`."""
+        return self.sweep_cursor().earliest_start(
+            job, duration, remote_per_node, placement, allocator,
+            after=after, memory_aware=memory_aware, not_after=not_after,
+        )
 
 
 class SweepCursor:
@@ -1130,18 +795,16 @@ class SweepCursor:
     same profile — EASY's shadow plus one hypothesis trial per
     candidate, conservative backfill's one scan (or replay probe) per
     queued job — and every scan is anchored at the profile instant.
-    The stock scan rebuilds its set-based sweep state per call:
-    copies of the free set, release folding, and a walk over every
-    standing reservation's start/end events.  The cursor hoists the
-    *point-in-time* half of that state out of the scan: for each
-    breakpoint of the merged grid it materializes (lazily, in grid
-    order, only as deep as scans actually reach) the exact free-node
-    state — releases folded in, active reservation claims folded out —
-    as the release-timeline position, the free count, and (where a
-    claim is active) the free-node mask.  Scans then reject a
-    breakpoint with one integer compare, and only the *window* half
-    (reservations whose start falls inside the candidate window, which
-    depends on the queried duration) is computed per scan, by bisect.
+    The cursor hoists the *point-in-time* half of a scan's state out
+    of the scan: for each breakpoint of the merged grid it
+    materializes (lazily, in grid order, only as deep as scans
+    actually reach) the exact free-node state — releases folded in,
+    active reservation claims folded out — as the release-timeline
+    position, the free count, and (where a claim is active) the
+    free-node mask.  Scans then reject a breakpoint with one integer
+    compare, and only the *window* half (reservations whose start
+    falls inside the candidate window, which depends on the queried
+    duration) is computed per scan, by bisect.
 
     Node sets inside the cursor are ``int`` bitmasks (bit *i* = node
     *i*).  Where a claim is active, a state stores its free-node mask:
@@ -1161,10 +824,10 @@ class SweepCursor:
 
     Exactness:
 
-    * materialized states are computed with the profile's own activity
-      tests (``start <= t + eps and t < end - eps``) against the same
-      release sweep, so a grid state's free nodes are exactly the set
-      the stock scan derives at that breakpoint;
+    * materialized states are computed with the reference activity
+      tests (``start <= t + eps and t < end - eps``) against the
+      profile's release sweep, so a grid state's free nodes are
+      exactly the oracle's free set at that breakpoint;
     * :meth:`AvailabilityProfile.add_reservation` keeps the cursor
       live by inserting the new bounds into the grid (fresh states,
       computed directly) and clearing the new claim's bits from the
@@ -1419,16 +1082,25 @@ class SweepCursor:
         not_after: Optional[float] = None,
         trial: Optional[Reservation] = None,
     ) -> Optional[Reservation]:
-        """Bit-identical to :meth:`AvailabilityProfile.earliest_start`
-        on the same profile, evaluated through the shared sweep.
+        """Earliest reservation satisfying nodes (and, when
+        ``memory_aware``, pool memory) for the job's whole window,
+        starting no earlier than ``after`` (default: the profile
+        instant).
+
+        Without ``not_after``, returns ``None`` only when the job
+        cannot run even on an empty machine (too many nodes, or remote
+        demand exceeding total pool reach) — callers treat that as
+        "reject".  With ``not_after``, the scan stops once candidates
+        exceed that bound and returns ``None`` — for callers that only
+        need "can it start by T?" (EASY's no-delay check, the plan
+        replay probes).
 
         Candidate instants — the scan anchor, the grid times after it,
         and (under a trial) the trial's end — are consumed in strictly
-        increasing time order, so the scan keeps the stock
-        implementation's incremental shape: the window-claim state
-        (reservations starting inside the candidate window) slides
-        right behind two monotone pointers, while the point-in-time
-        state comes from the shared materialized grid.
+        increasing time order: the window-claim state (reservations
+        starting inside the candidate window) slides right behind two
+        monotone pointers, while the point-in-time state comes from the
+        shared materialized grid.
 
         ``trial`` overlays one extra reservation *without* mutating
         the profile — EASY's hypothesis test, which previously paid an
@@ -1460,9 +1132,9 @@ class SweepCursor:
         if trial is not None:
             trial_nodes = frozenset(trial.node_ids)
             trial_end_eps = trial.end - _EPS
-            # The trial's end is a breakpoint the stock path would
-            # have gained from add_reservation; interleave it without
-            # touching the shared grid.
+            # The trial's end is a breakpoint add_reservation would
+            # have put on the grid; interleave it without touching the
+            # shared grid.
             if trial.end > start:
                 extra = trial.end
             # EASY's trial shape: no standing reservations and trial
@@ -1485,11 +1157,11 @@ class SweepCursor:
         # Sliding window-claim mask: the OR of the node masks of the
         # reservations whose start falls strictly inside the current
         # candidate window ``(t, t + duration)``.  Both edges move
-        # right as the scan advances, following two monotone pointers
-        # as in the stock implementation; entering reservations OR in,
-        # and a left-edge exit re-ORs the remaining window — O(window)
-        # big-int ORs per exit, since a bit may be claimed by more than
-        # one reservation.  (wmix-conservative at seed 42: 61,247 exits
+        # right as the scan advances, following two monotone
+        # pointers; entering reservations OR in, and a left-edge exit
+        # re-ORs the remaining window — O(window) big-int ORs per
+        # exit, since a bit may be claimed by more than one
+        # reservation.  (wmix-conservative at seed 42: 61,247 exits
         # re-OR 3.6 masks on average, 19 at p99, 36 at most.)
         wi_lo = wi_hi = 0
         ws_claim = 0
@@ -1554,9 +1226,8 @@ class SweepCursor:
             end = t + duration
             end_eps = end - _EPS
             if num_res:
-                # Slide the window edges to ``(t, t + duration)``,
-                # mirroring the stock pointer discipline exactly
-                # (including the degenerate-window snap).
+                # Slide the window edges to ``(t, t + duration)``; a
+                # window shorter than the epsilon band snaps empty.
                 left = False
                 while wi_lo < num_res and start_times[wi_lo] <= t_eps:
                     if wi_lo < wi_hi:
@@ -1615,8 +1286,9 @@ class SweepCursor:
         wi_hi: int,
     ) -> Optional[Reservation]:
         """Pool view, placement, and allocation for one candidate whose
-        node count already passed — the same event tuples and tie
-        order as the stock scan, so the outcome is bit-identical."""
+        node count already passed.  Pool events go through
+        :meth:`AvailabilityProfile._apply_pool_events`, which owns the
+        reference tie order."""
         p = self._p
         if (
             (remote_per_node == 0 or not memory_aware)

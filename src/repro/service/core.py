@@ -63,6 +63,7 @@ from .journal import StateStore, config_fingerprint
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    check_advance_target,
     check_idempotency_key,
     job_from_spec,
     job_to_record,
@@ -476,6 +477,7 @@ class SchedulerService:
         return self._call("state", None)
 
     def advance(self, to: Optional[float]) -> Dict[str, Any]:
+        check_advance_target(to)  # before queueing: never journaled
         return self._call("advance", to)
 
     def metrics(self) -> Dict[str, Any]:
@@ -976,15 +978,14 @@ class SchedulerService:
             self.counters.drains += 1
             now = self.engine.drain()
             return {"now": now, "drained": True}
-        if isinstance(to, bool) or not isinstance(to, (int, float)):
-            raise ProtocolError(400, "invalid_request", "advance 'to' must be a number")
-        if float(to) < self.engine.now:
+        to = check_advance_target(to)
+        if to < self.engine.now:
             raise ProtocolError(
                 409,
                 "clock_backwards",
                 f"cannot advance to t={to}, behind clock t={self.engine.now}",
             )
-        now = self.engine.advance_to(float(to))
+        now = self.engine.advance_to(to)
         return {"now": now, "drained": False}
 
     def _do_metrics(self) -> Dict[str, Any]:
@@ -1117,7 +1118,7 @@ class SchedulerService:
         )
         profile = sched.build_profile(ctx)
         duration = sched.est_duration(job, cluster, split)
-        reservation = profile.earliest_start(
+        reservation = profile.sweep_cursor().earliest_start(
             job,
             duration,
             split.remote,

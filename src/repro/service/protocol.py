@@ -14,6 +14,7 @@ version so dashboards can detect drift.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Mapping, Optional
 
 from ..engine.results import Promise
@@ -23,6 +24,7 @@ from ..workload.job import Job
 __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "check_advance_target",
     "check_idempotency_key",
     "job_from_spec",
     "job_to_record",
@@ -105,13 +107,51 @@ def check_idempotency_key(key: Any) -> Optional[str]:
     return key
 
 
-def _number(spec: Mapping[str, Any], key: str) -> float:
-    value = spec[key]
+def _finite(value: Any) -> Optional[float]:
+    """``value`` as a float when it is a finite number, else None.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``, and an integer too
+    large for a float; none of them is a usable time or size (a NaN
+    time cannot be scheduled, an infinite one never arrives).
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def check_advance_target(to: Any) -> Optional[float]:
+    """Validate an advance target: ``None`` (drain) or a finite time."""
+    if to is None:
+        return None
+    target = _finite(to)
+    if target is None:
         raise ProtocolError(
-            400, "invalid_field", f"job spec field {key!r} must be a number"
+            400, "invalid_request", "advance 'to' must be a finite number or null"
         )
-    return float(value)
+    return target
+
+
+def _number(key: str, value: Any) -> float:
+    number = _finite(value)
+    if number is None:
+        raise ProtocolError(
+            400, "invalid_field", f"job spec field {key!r} must be a finite number"
+        )
+    return number
+
+
+def _integer(key: str, value: Any) -> int:
+    """An integral finite number as int: ``4.0`` passes, ``4.5`` is
+    refused rather than truncated."""
+    if not _number(key, value).is_integer():
+        raise ProtocolError(
+            400, "invalid_field", f"job spec field {key!r} must be an integer"
+        )
+    return int(value)
 
 
 def job_from_spec(
@@ -150,19 +190,21 @@ def job_from_spec(
     submit_time = spec.get("submit_time", default_submit_time)
     if submit_time is None:
         raise ProtocolError(400, "missing_field", "job spec requires submit_time")
-    walltime = _number(spec, "walltime")
+    walltime = _number("walltime", spec["walltime"])
     runtime = (
-        _number(spec, "runtime") if "runtime" in spec else walltime
+        _number("runtime", spec["runtime"]) if "runtime" in spec else walltime
     )
     try:
         return Job(
-            job_id=int(job_id),
-            submit_time=float(submit_time),
-            nodes=int(_number(spec, "nodes")),
+            job_id=_integer("job_id", job_id),
+            submit_time=_number("submit_time", submit_time),
+            nodes=_integer("nodes", spec["nodes"]),
             walltime=walltime,
             runtime=runtime,
-            mem_per_node=int(_number(spec, "mem_per_node")),
-            mem_used_per_node=int(_number(spec, "mem_used_per_node"))
+            mem_per_node=_integer("mem_per_node", spec["mem_per_node"]),
+            mem_used_per_node=_integer(
+                "mem_used_per_node", spec["mem_used_per_node"]
+            )
             if "mem_used_per_node" in spec
             else -1,
             user=str(spec.get("user", "user0")),

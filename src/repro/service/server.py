@@ -135,8 +135,23 @@ class _Handler(BaseHTTPRequestHandler):
             ) from None
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        raw_length = self.headers.get("Content-Length", 0) or 0
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # No way to frame the body: answer, then drop the
+            # connection rather than read the body as the next request
+            # (``rfile.read(-1)`` would block until the client hangs up).
+            self.close_connection = True
+            raise ProtocolError(
+                400,
+                "bad_request",
+                f"Content-Length must be a non-negative integer, got {raw_length!r}",
+            )
         if length > _MAX_BODY:
+            self.close_connection = True
             raise ProtocolError(413, "too_large", "request body exceeds 8 MiB")
         raw = self.rfile.read(length) if length else b""
         if not raw:

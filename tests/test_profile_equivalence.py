@@ -3,13 +3,14 @@
 The sweep-based :class:`AvailabilityProfile` rewrite and the backfill
 hot-path optimizations are pinned by three layers of evidence:
 
-* query equivalence — breakpoints / free_at / window_free /
-  earliest_start agree with the brute-force :class:`OracleProfile`
+* query equivalence — the breakpoint grid, the availability view the
+  sweep cursor offers placement at every candidate (``_cursor_views``)
+  and earliest_start agree with the brute-force :class:`OracleProfile`
   (``_oracles.py``) on randomized clusters, running sets, and
   reservation patterns, across every placement policy and reach;
 * incremental-mutation equivalence — add/remove_reservation and
-  apply_start patch the cached sweep to exactly the state a fresh
-  rebuild (and the oracle) would produce;
+  apply_start patch the cached sweep to exactly the state the oracle
+  describes for the mutated world;
 * end-to-end anchoring — full simulations over 200+ randomized
   workload × cluster × policy combinations must match the pinned
   golden digests in ``tests/golden/`` (see ``_golden.py``), which
@@ -33,6 +34,12 @@ from repro.sched.placement import placement_for
 from repro.units import GiB, HOUR
 from repro.workload import Job
 
+from ._cursor_views import (
+    cursor_free_at,
+    cursor_views,
+    cursor_window_free,
+    oracle_views,
+)
 from ._golden import assert_matches_golden
 from ._oracles import OracleProfile
 
@@ -149,22 +156,28 @@ def _pair(rng: random.Random):
 
 
 def _probe_times(rng: random.Random, profile, now: float):
+    """Grid times, instants inside their epsilon bands, and random
+    instants — all at or after ``now`` (scans never look back)."""
     times = list(profile.breakpoints())
     probes = list(times)
     probes += [t + 1e-10 for t in times[:4]]  # inside the epsilon band
-    probes += [t - 1e-10 for t in times[:4] if t > 0]
+    probes += [t - 1e-10 for t in times[1:5]]
     probes += [now + rng.uniform(0.0, 5 * HOUR) for _ in range(8)]
     return probes
 
 
 def _assert_profiles_agree(rng: random.Random, cluster, now, new, ref):
     assert new.breakpoints() == ref.breakpoints()
+    dur = rng.uniform(60.0, 3 * HOUR)
+    assert cursor_views(new, dur) == oracle_views(ref, dur)
     after = now + rng.uniform(0.0, HOUR)
-    assert new.breakpoints(after=after) == ref.breakpoints(after=after)
+    assert cursor_views(new, dur, after=after) == oracle_views(
+        ref, dur, after=after
+    )
     for t in _probe_times(rng, ref, now):
-        assert new.free_at(t) == ref.free_at(t), f"free_at({t})"
+        assert cursor_free_at(new, t) == ref.free_at(t), f"free_at({t})"
         dur = rng.uniform(60.0, 3 * HOUR)
-        assert new.window_free(t, dur) == ref.window_free(t, dur), (
+        assert cursor_window_free(new, t, dur) == ref.window_free(t, dur), (
             f"window_free({t}, {dur})"
         )
 
@@ -263,6 +276,9 @@ class TestIncrementalMutation:
         now = rng.uniform(0.0, 500.0)
         running = _random_running(rng, cluster, now)
         new = AvailabilityProfile(cluster, running, now, _duration_of)
+        # Sweep the whole grid first, so the fold patches a cached
+        # node/pool prefix instead of an empty one.
+        cursor_views(new, HOUR)
 
         free = cluster.sorted_free_ids()
         if not free:
@@ -299,17 +315,12 @@ class TestIncrementalMutation:
         new.apply_start(node_ids, grants, est_end)
 
         running.append(job)
-        fresh = AvailabilityProfile(cluster, running, now, _duration_of)
         ref = OracleProfile(cluster, running, now, _duration_of)
-        assert new.breakpoints() == fresh.breakpoints() == ref.breakpoints()
+        assert new.breakpoints() == ref.breakpoints()
         for t in _probe_times(rng, ref, now):
-            assert new.free_at(t) == fresh.free_at(t) == ref.free_at(t)
+            assert cursor_free_at(new, t) == ref.free_at(t)
             dur = rng.uniform(60.0, 2 * HOUR)
-            assert (
-                new.window_free(t, dur)
-                == fresh.window_free(t, dur)
-                == ref.window_free(t, dur)
-            )
+            assert cursor_window_free(new, t, dur) == ref.window_free(t, dur)
 
     def test_truncate_reservations_matches_removals(self):
         """truncate_reservations(keep) ≡ remove_reservation over the
@@ -331,17 +342,21 @@ class TestIncrementalMutation:
         for keep in range(6):
             truncated = AvailabilityProfile(cluster, [], 0.0, _duration_of)
             removed = AvailabilityProfile(cluster, [], 0.0, _duration_of)
+            ref = OracleProfile(cluster, [], 0.0, _duration_of)
             for res in reservations:
                 truncated.add_reservation(res)
                 removed.add_reservation(res)
+            for res in reservations[:keep]:
+                ref.add_reservation(res)
             truncated.truncate_reservations(keep)
             for res in reservations[keep:][::-1]:
                 removed.remove_reservation(res)
             assert truncated.reservations == removed.reservations
             assert truncated.reservation_count == keep
-            assert truncated.breakpoints() == removed.breakpoints()
+            assert (truncated.breakpoints() == removed.breakpoints()
+                    == ref.breakpoints())
             for t in (0.0, 60.0, 120.0, 180.0, 260.0, 400.0):
-                assert truncated.free_at(t) == removed.free_at(t)
+                assert cursor_free_at(truncated, t) == ref.free_at(t)
         # The no-op keep >= count leaves a live cursor untouched.
         profile = AvailabilityProfile(cluster, [], 0.0, _duration_of)
         profile.add_reservation(reservations[0])
@@ -460,10 +475,10 @@ class TestIncrementalMutation:
         assert profile.rebase(55.0)
         assert profile.now == 55.0
         assert profile.reservations == [res]
-        fresh = AvailabilityProfile(cluster, [job], 55.0, _duration_of)
-        fresh.add_reservation(res)
+        ref = OracleProfile(cluster, [job], 55.0, _duration_of)
+        ref.add_reservation(res)
         for t in (55.0, 60.0, 65.0, 70.0, 100.0, 120.0):
-            assert profile.free_at(t) == fresh.free_at(t)
+            assert cursor_free_at(profile, t) == ref.free_at(t)
         profile.remove_reservation(res)
         assert profile.rebase(56.0)
 

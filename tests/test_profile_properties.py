@@ -1,8 +1,9 @@
 """Property-based tests for the AvailabilityProfile.
 
 The profile is the correctness heart of memory-aware backfilling, so
-its algebra gets its own property suite: window queries must be
-conservative refinements of instant queries, reservations must
+its algebra gets its own property suite: the window views the sweep
+cursor offers placement (read through ``_cursor_views``) must be
+conservative refinements of its instant views, reservations must
 subtract exactly what they claim, and earliest-start must actually be
 feasible at the time it returns.
 
@@ -28,6 +29,12 @@ from repro.sched.placement import placement_for
 from repro.units import GiB
 from repro.workload import Job, JobState
 
+from ._cursor_views import (
+    cursor_free_at,
+    cursor_views,
+    cursor_window_free,
+    oracle_views,
+)
 from ._oracles import OracleProfile
 
 
@@ -72,8 +79,8 @@ class TestProfileAlgebra:
                                       duration_of=lambda j: j.walltime)
         for res in res_list:
             profile.add_reservation(res)
-        instant_free, instant_pool = profile.free_at(t)
-        window_free, window_pool = profile.window_free(t, dur)
+        instant_free, instant_pool = cursor_free_at(profile, t)
+        window_free, window_pool = cursor_window_free(profile, t, dur)
         assert window_free <= instant_free
         for pool_id, level in window_pool.items():
             assert level <= instant_pool[pool_id] + 1e-9
@@ -86,8 +93,8 @@ class TestProfileAlgebra:
                                       duration_of=lambda j: j.walltime)
         for res in res_list:
             profile.add_reservation(res)
-        instant = profile.free_at(t)
-        window = profile.window_free(t, 1e-9)
+        instant = cursor_free_at(profile, t)
+        window = cursor_window_free(profile, t, 1e-9)
         assert window[0] == instant[0]
         assert window[1] == instant[1]
 
@@ -99,7 +106,7 @@ class TestProfileAlgebra:
                                       duration_of=lambda j: j.walltime)
         for res in res_list:
             profile.add_reservation(res)
-        free, pool = profile.free_at(1e9)
+        free, pool = cursor_free_at(profile, 1e9)
         assert free == frozenset(range(6))
         assert pool["global"] == 32 * GiB
 
@@ -127,7 +134,7 @@ class TestProfileAlgebra:
             return
         assert found is not None
         # The reservation's claims must be consistent with the window.
-        free, pool_min = profile.window_free(found.start, duration)
+        free, pool_min = cursor_window_free(profile, found.start, duration)
         assert set(found.node_ids) <= free
         for pool_id, amount in found.pool_grants:
             assert amount <= pool_min[pool_id] + 1e-9
@@ -233,10 +240,12 @@ def _make_reservation(i, spec):
 
 def _assert_index_matches_oracle(new, ref, probes):
     assert new.breakpoints() == ref.breakpoints()
+    for dur in (60.0, 400.0):
+        assert cursor_views(new, dur) == oracle_views(ref, dur), dur
     for t in probes:
-        assert new.free_at(t) == ref.free_at(t), f"free_at({t})"
+        assert cursor_free_at(new, t) == ref.free_at(t), f"free_at({t})"
         for dur in (1e-9, 60.0, 150.0, 400.0):
-            assert new.window_free(t, dur) == ref.window_free(t, dur), (
+            assert cursor_window_free(new, t, dur) == ref.window_free(t, dur), (
                 f"window_free({t}, {dur})"
             )
 
@@ -385,22 +394,20 @@ def _fresh_pair(cluster, running, held):
 
 
 def _assert_fold_state(cluster, running, held, profile):
-    """The fold-patched profile AND its live cursor must be
-    bit-identical to a from-scratch rebuild and the oracle."""
+    """The fold-patched profile's cursor views must equal the oracle's,
+    and its cursor states a from-scratch rebuild's, bit for bit."""
     fresh, ref = _fresh_pair(cluster, running, held)
     assert profile.breakpoints() == fresh.breakpoints() == ref.breakpoints()
+    for dur in (60.0, 400.0):
+        assert cursor_views(profile, dur) == oracle_views(ref, dur), dur
     probes = list(GRID)
     probes += [t + 1e-10 for t in GRID[:4]]
     probes += [t - 1e-10 for t in GRID[1:4]]
     for t in probes:
-        assert profile.free_at(t) == fresh.free_at(t) == ref.free_at(t), (
-            f"free_at({t})"
-        )
+        assert cursor_free_at(profile, t) == ref.free_at(t), f"free_at({t})"
         for dur in (1e-9, 60.0, 400.0):
-            assert (
-                profile.window_free(t, dur)
-                == fresh.window_free(t, dur)
-                == ref.window_free(t, dur)
+            assert cursor_window_free(profile, t, dur) == ref.window_free(
+                t, dur
             ), f"window_free({t}, {dur})"
     cursor = profile.sweep_cursor()
     refc = fresh.sweep_cursor()
@@ -571,7 +578,7 @@ class TestFoldRegressions:
         running.remove(a)
         cluster.release_nodes(a.job_id, a.assigned_nodes)
         assert profile.apply_release(a.assigned_nodes, {}, 300.0)
-        free, _ = profile.free_at(120.0)
+        free, _ = cursor_free_at(profile, 120.0)
         assert 0 not in free and 1 in free
         _assert_fold_state(cluster, running, [res], profile)
 

@@ -4,8 +4,9 @@ Three layers:
 
 * unit — on randomized clusters, completing running jobs one by one
   (in arbitrary order, interleaved with ``apply_start`` folds) keeps
-  every profile query bit-identical to a from-scratch rebuild *and*
-  to the brute-force oracle (``_oracles.py``);
+  every cursor state bit-identical to a from-scratch rebuild's, and
+  every availability view the cursor offers equal to the brute-force
+  oracle's (``_oracles.py``);
 * refusal — clamped (overrun) profiles and unknown entries must leave
   the profile untouched and report failure, because a wrong fold
   would silently corrupt every later pass;
@@ -28,6 +29,12 @@ from repro.sched.base import Scheduler, SchedulerContext, build_scheduler
 from repro.units import GiB, HOUR
 from repro.workload import Job, JobState
 
+from ._cursor_views import (
+    cursor_free_at,
+    cursor_views,
+    cursor_window_free,
+    oracle_views,
+)
 from ._oracles import OracleProfile, cursor_free_nodes
 
 
@@ -82,7 +89,7 @@ def _probe_times(rng, profile, now):
     times = list(profile.breakpoints())
     probes = list(times)
     probes += [t + 1e-10 for t in times[:4]]
-    probes += [t - 1e-10 for t in times[:4] if t > 0]
+    probes += [t - 1e-10 for t in times[1:5]]
     probes += [now + rng.uniform(0.0, 5 * HOUR) for _ in range(6)]
     return probes
 
@@ -91,15 +98,13 @@ def _assert_equals_rebuild(rng, cluster, running, now, profile):
     fresh = AvailabilityProfile(cluster, running, now, _duration_of)
     ref = OracleProfile(cluster, running, now, _duration_of)
     assert profile.breakpoints() == fresh.breakpoints() == ref.breakpoints()
+    _assert_cursor_equals_rebuild(profile, fresh, ref)
+    dur = rng.uniform(60.0, 2 * HOUR)
+    assert cursor_views(profile, dur) == oracle_views(ref, dur)
     for t in _probe_times(rng, ref, now):
-        assert profile.free_at(t) == fresh.free_at(t) == ref.free_at(t)
+        assert cursor_free_at(profile, t) == ref.free_at(t)
         dur = rng.uniform(60.0, 2 * HOUR)
-        assert (
-            profile.window_free(t, dur)
-            == fresh.window_free(t, dur)
-            == ref.window_free(t, dur)
-        )
-    _assert_cursor_equals_rebuild(profile, fresh)
+        assert cursor_window_free(profile, t, dur) == ref.window_free(t, dur)
 
 
 def _materialize_random_prefix(rng, profile):
@@ -112,24 +117,24 @@ def _materialize_random_prefix(rng, profile):
         cursor._materialize_to(depth - 1)
 
 
-def _assert_cursor_equals_rebuild(profile, fresh):
+def _assert_cursor_equals_rebuild(profile, fresh, ref):
     """After a fold, the profile's cursor must equal a fresh build's
     cursor state by state, not just on query results: at every
     breakpoint the grid time, free-node mask, count, and release-
-    timeline index match, and the state decodes to exactly the stock
-    free set at that instant."""
+    timeline index match, and the state decodes to exactly the
+    oracle's free set at that instant."""
     assert profile._cursor is None, "fold left the pre-fold cursor live"
     cursor = profile.sweep_cursor()
-    ref = fresh.sweep_cursor()
-    assert cursor._times == ref._times
-    last = len(ref._times) - 1
+    rebuilt = fresh.sweep_cursor()
+    assert cursor._times == rebuilt._times
+    last = len(rebuilt._times) - 1
     cursor._materialize_to(last)
-    ref._materialize_to(last)
-    for j, t in enumerate(ref._times):
+    rebuilt._materialize_to(last)
+    for j, t in enumerate(rebuilt._times):
         assert (cursor._free[j], cursor._counts[j], cursor._k[j]) == (
-            ref._free[j], ref._counts[j], ref._k[j]
+            rebuilt._free[j], rebuilt._counts[j], rebuilt._k[j]
         ), f"cursor state at breakpoint {t} differs from a fresh build"
-        want = fresh.free_at(t)[0]
+        want = ref.free_at(t)[0]
         assert cursor_free_nodes(cursor, j) == want, f"state at {t} decodes wrong"
         assert cursor._counts[j] == len(want), f"count at {t}"
 

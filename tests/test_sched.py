@@ -29,6 +29,7 @@ from repro.sched.base import KillPolicy, pool_pressure
 from repro.units import GiB
 from repro.workload import Job, JobState
 
+from ._cursor_views import cursor_free_at, cursor_window_free
 from .conftest import make_job
 
 
@@ -177,10 +178,10 @@ class TestAvailabilityProfile:
         cluster.allocate_pool(1, {"global": 2 * GiB})
         profile = AvailabilityProfile(cluster, [job], now=10.0,
                                       duration_of=lambda j: j.walltime)
-        free_now, pool_now = profile.free_at(10.0)
+        free_now, pool_now = cursor_free_at(profile, 10.0)
         assert free_now == frozenset([2, 3])
         assert pool_now["global"] == 6 * GiB
-        free_later, pool_later = profile.free_at(100.0)
+        free_later, pool_later = cursor_free_at(profile, 100.0)
         assert free_later == frozenset([0, 1, 2, 3])
         assert pool_later["global"] == 8 * GiB
 
@@ -192,9 +193,9 @@ class TestAvailabilityProfile:
         # "any moment", not in the past.
         profile = AvailabilityProfile(cluster, [job], now=500.0,
                                       duration_of=lambda j: j.walltime)
-        free, _ = profile.free_at(500.0)
+        free, _ = cursor_free_at(profile, 500.0)
         assert 0 not in free
-        free, _ = profile.free_at(501.5)
+        free, _ = cursor_free_at(profile, 501.5)
         assert 0 in free
 
     def test_window_free_excludes_mid_window_reservation(self):
@@ -205,11 +206,11 @@ class TestAvailabilityProfile:
             Reservation(9, start=50.0, end=150.0, node_ids=(1, 2),
                         pool_grants=(("global", 4 * GiB),))
         )
-        free, pool_min = profile.window_free(0.0, 100.0)
+        free, pool_min = cursor_window_free(profile, 0.0, 100.0)
         assert free == frozenset([0, 3])
         assert pool_min["global"] == 4 * GiB
         # A window ending before the reservation is unaffected.
-        free2, pool2 = profile.window_free(0.0, 50.0)
+        free2, pool2 = cursor_window_free(profile, 0.0, 50.0)
         assert free2 == frozenset([0, 1, 2, 3])
         assert pool2["global"] == 8 * GiB
 

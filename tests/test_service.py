@@ -10,9 +10,13 @@ that keeps that property true.
 
 from __future__ import annotations
 
+import http.client
 import json
+import math
 import random
+import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +367,112 @@ class TestDaemon:
                     deadline.wait(0.05)
                 else:
                     pytest.fail("wall clock never completed a 30s job")
+
+
+# ======================================================================
+# malformed input over real HTTP
+# ======================================================================
+_SPEC = {"nodes": 1, "walltime": 600.0, "mem_per_node": 1024}
+
+
+def _submit_with(**fields):
+    return "/v1/submit", {"jobs": [dict(_SPEC, **fields)]}
+
+
+#: (path, body) pairs the service must refuse with a 4xx — every one of
+#: them crashed the engine thread or parked its clock at ``inf`` once.
+#: ``json.dumps`` writes nan/inf as the ``NaN``/``Infinity`` literals
+#: ``json.loads`` accepts.
+_MALFORMED = {
+    "nodes-inf": _submit_with(nodes=math.inf),
+    "nodes-fractional": _submit_with(nodes=1.5),
+    "walltime-nan": _submit_with(walltime=math.nan),
+    "walltime-inf": _submit_with(walltime=math.inf),
+    "runtime-nan": _submit_with(runtime=math.nan),
+    "submit-time-nan": _submit_with(submit_time=math.nan),
+    "submit-time-inf": _submit_with(submit_time=math.inf),
+    "job-id-nan": _submit_with(job_id=math.nan),
+    "job-id-fractional": _submit_with(job_id=7.5),
+    "mem-inf": _submit_with(mem_per_node=math.inf),
+    "mem-fractional": _submit_with(mem_per_node=1024.5),
+    "mem-used-nan": _submit_with(mem_used_per_node=math.nan),
+    "mem-used-fractional": _submit_with(mem_used_per_node=512.5),
+    "mem-huge": _submit_with(mem_per_node=10**400),
+    "advance-nan": ("/v1/advance", {"to": math.nan}),
+    "advance-inf": ("/v1/advance", {"to": math.inf}),
+    "advance-neg-inf": ("/v1/advance", {"to": -math.inf}),
+}
+
+
+@pytest.fixture(scope="class")
+def durable_daemon(tmp_path_factory):
+    """One journaled daemon for the whole class: every case checks
+    its own before/after journal bytes."""
+    state_dir = tmp_path_factory.mktemp("malformed") / "state"
+    service = SchedulerService.open(
+        small_config(), ServiceConfig(mode="replay", state_dir=str(state_dir))
+    )
+    with ServiceDaemon(service) as running:
+        yield running
+
+
+def _journal(daemon) -> bytes:
+    root = Path(daemon.service.config.state_dir)
+    return b"".join(path.read_bytes() for path in sorted(root.glob("journal-*")))
+
+
+def _raw_request(daemon, head: str, body: bytes = b"") -> bytes:
+    """Send ``head`` (request line + headers, no blank line) and
+    ``body`` verbatim; return everything the server sends until it
+    closes the connection.  Times out instead of hanging if it never
+    answers."""
+    host, port = daemon.address
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(head.encode() + b"\r\n\r\n" + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+        return reply
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_rejected_without_side_effects(self, durable_daemon, case):
+        path, body = _MALFORMED[case]
+        with ServiceClient(durable_daemon.url) as client:
+            client.advance(100.0)  # one journaled mutation to compare against
+            before = _journal(durable_daemon)
+            host, port = durable_daemon.address
+            conn = http.client.HTTPConnection(host, port, timeout=5.0)
+            try:
+                conn.request("POST", path, json.dumps(body),
+                             {"Content-Type": "application/json"})
+                reply = conn.getresponse()
+                payload = json.loads(reply.read())
+            finally:
+                conn.close()
+            assert reply.status == 400, payload
+            expected = "invalid_request" if path == "/v1/advance" else "invalid_field"
+            assert payload["error"]["code"] == expected
+            assert client.health()["status"] == "ok"
+            assert _journal(durable_daemon) == before
+            # The engine still serves, and its clock never moved.
+            assert client.submit_one(dict(_SPEC))["state"] == "running"
+            assert client.metrics()["now"] == 100.0
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+    def test_bad_content_length(self, durable_daemon, length):
+        before = _journal(durable_daemon)
+        reply = _raw_request(
+            durable_daemon,
+            f"POST /v1/submit HTTP/1.1\r\nHost: x\r\nContent-Length: {length}",
+            b"{}",
+        )
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+        assert b"bad_request" in reply
+        with ServiceClient(durable_daemon.url) as client:
+            assert client.health()["status"] == "ok"
+        assert _journal(durable_daemon) == before
 
 
 # ======================================================================
