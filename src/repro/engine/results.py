@@ -17,8 +17,11 @@ Peak memory becomes O(active jobs), not O(trace length).
 Determinism contract: :func:`job_record` + :func:`canonical_json` are
 the *only* serialization of a terminal job, and ``RollingStats`` folds
 records (not live objects), so a fold over spilled JSONL lines is
-bit-identical to the fold performed live — which is what lets sharded
-replay prove itself field-for-field equal to an uninterrupted run.
+bit-identical to the fold performed live.  The accumulators themselves
+survive a JSON round trip exactly (``to_dict``/``from_dict``), which is
+what lets sharded replay carry one sequential fold across segment
+boundaries and prove itself field-for-field equal to an uninterrupted
+run.
 """
 
 from __future__ import annotations
@@ -187,24 +190,34 @@ def job_record(job: Job, promise: Optional[Promise] = None) -> dict:
     }
 
 
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc: dict) -> str:
     """One-line canonical JSON: sorted keys, no whitespace.
 
     Python's float repr round-trips exactly, so a record folded after a
     JSON round trip is arithmetically identical to the live one — the
-    property the stitching identity check rests on.
+    property the sharded-replay identity check rests on.  One shared
+    encoder serves every record (``json.dumps`` with these options
+    would build a new one per call); the bytes are the same.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(doc)
 
 
 @dataclass
 class RollingStats:
     """Exact online accumulators over terminal-job records.
 
-    Every value is a plain sum / min / max / count — mergeable across
-    shards for progress reporting, and, because :meth:`add_record`
-    consumes the serialized record, a sequential fold over spilled
-    JSONL reproduces the live fold bit-for-bit.
+    Every value is a plain sum / min / max / count, and, because
+    :meth:`add_record` consumes the serialized record, a sequential
+    fold over spilled JSONL reproduces the live fold bit-for-bit.
+    :meth:`to_dict` / :meth:`from_dict` round-trip the state exactly,
+    so a fold can stop at a segment boundary and continue in another
+    process: sharded replay stores the *cumulative* stats in each
+    segment's done marker and the next segment folds on from them.
+    Float sums are not associative, so shards never merge partial
+    sums; they continue one fold.
     """
 
     jobs: int = 0
@@ -275,23 +288,6 @@ class RollingStats:
         )
         self.dilation_sum += rec["dilation"]
 
-    def merge(self, other: "RollingStats") -> None:
-        """Fold another shard's accumulators into this one.
-
-        Sums are associative in exact arithmetic but not in floats; use
-        merged stats for *progress*, and re-fold the stitched record
-        stream (:meth:`add_record` per line, in order) when bit-level
-        identity with an unsharded run matters.
-        """
-        for f in dataclass_fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name == "first_submit":
-                self.first_submit = min(mine, theirs)
-            elif f.name in ("last_end", "wait_max", "response_max", "bsld_max"):
-                setattr(self, f.name, max(mine, theirs))
-            else:
-                setattr(self, f.name, mine + theirs)
-
     @property
     def makespan(self) -> float:
         if self.jobs == 0 or not math.isfinite(self.last_end):
@@ -348,18 +344,22 @@ class RollingResults:
     The engine calls :meth:`ingest` exactly once per job reaching a
     terminal state (in event order); the sink folds the job into
     :class:`RollingStats` and, when spilling, appends the canonical
-    record to a JSONL stream.  Sharded replay stitches those streams
-    and re-folds them to prove identity with an unsharded run.
+    record to a JSONL stream.  ``stats`` continues an earlier fold:
+    sharded replay starts segment *k* from segment *k-1*'s cumulative
+    stats, so the last segment's stats are the whole chain's and the
+    stitch only concatenates the spills.  ``records`` counts this
+    sink's own records, not the carried ones.
     """
 
     def __init__(
         self,
         spill_path: Optional[str] = None,
         spill: Optional[IO[str]] = None,
+        stats: Optional[RollingStats] = None,
     ) -> None:
         if spill_path is not None and spill is not None:
             raise ValueError("pass spill_path or spill, not both")
-        self.stats = RollingStats()
+        self.stats = stats if stats is not None else RollingStats()
         self.records = 0
         self._sink: Optional[IO[str]] = spill
         self._owns_sink = False

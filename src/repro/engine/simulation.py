@@ -582,8 +582,9 @@ class SchedulerSimulation:
         ``cluster`` and ``scheduler`` must be fresh instances built
         from the configuration that produced the snapshot.  ``rolling``
         re-arms rolling aggregation on the restored engine (each shard
-        folds its own window); ``job_source`` attaches the next trace
-        segment's stream after the calendar is re-entered."""
+        spills its own window and continues the chain's fold);
+        ``job_source`` attaches the next trace segment's stream after
+        the calendar is re-entered."""
         from .snapshot import restore_engine  # deferred: import cycle
 
         return restore_engine(

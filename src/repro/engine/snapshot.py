@@ -209,10 +209,11 @@ def restore_engine(
     decision-transparent.
 
     ``rolling`` re-arms rolling aggregation (sharded replay gives each
-    shard its own sink).  ``job_source`` attaches a streaming source
-    *after* the calendar is re-entered and the clock restored, so the
-    chained submit events take sequence numbers strictly after every
-    restored event — the same keys an uninterrupted run would assign.
+    shard its own sink, seeded with the chain's stats so far).
+    ``job_source`` attaches a streaming source *after* the calendar is
+    re-entered and the clock restored, so the chained submit events
+    take sequence numbers strictly after every restored event — the
+    same keys an uninterrupted run would assign.
     """
     from .simulation import SchedulerSimulation  # deferred: import cycle
 

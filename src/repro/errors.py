@@ -47,5 +47,14 @@ class TraceFormatError(ReproError):
     """A workload trace file (SWF) is malformed."""
 
 
+class ReplayStateError(ReproError):
+    """A checkpointed replay's on-disk segment state cannot be continued.
+
+    Raised when a segment's predecessor has no usable done marker
+    (missing, torn, or written by another replay schema), so there is
+    no fold to carry on from.
+    """
+
+
 class AuditError(ReproError):
     """The post-hoc schedule auditor found an invariant violation."""

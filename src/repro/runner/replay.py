@@ -17,12 +17,17 @@ pieces make them first-class:
   :meth:`~repro.runner.sweep.SweepRunner.run_task_graph`; independent
   chains (replicate seeds, the unsharded verification run) overlap
   across workers.  Every segment is idempotent via an on-disk done
-  marker, so a killed replay resumes where it stopped;
+  marker, so a killed replay resumes where it stopped.  A chain runs
+  *one* sequential fold: the marker's ``stats`` are cumulative through
+  its segment, and segment *i>0* continues
+  :class:`~repro.engine.results.RollingStats` from segment *i-1*'s
+  marker (floats survive the JSON round trip exactly);
 * **stitching** — per-segment JSONL record spills are concatenated in
-  segment order and re-folded *sequentially* through a fresh
-  :class:`~repro.engine.results.RollingStats`.  Because the restored
-  calendar fires the identical event sequence the uninterrupted run
-  would have, the stitched byte stream is bit-identical to the
+  segment order as raw bytes and hashed; the record count sums the
+  markers and the chain's stats are the last marker's.  Nothing is
+  re-parsed or re-folded.  Because the restored calendar fires the
+  identical event sequence the uninterrupted run would have, the
+  stitched byte stream and the carried stats are bit-identical to the
   single-segment run's — ``--verify`` proves it by sha256 and
   field-for-field accumulator equality.
 
@@ -47,7 +52,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 from ..cluster.cluster import Cluster
 from ..engine.results import RollingResults, RollingStats
 from ..engine.simulation import SchedulerSimulation
-from ..errors import ConfigurationError, TraceFormatError
+from ..errors import ConfigurationError, ReplayStateError, TraceFormatError
 from ..sched.base import Scheduler, build_scheduler
 from ..sim.rng import RandomStreams
 from ..units import GiB
@@ -69,7 +74,10 @@ __all__ = [
     "append_replay_history",
 ]
 
-REPLAY_SCHEMA = 1
+#: Version of the done-marker layout.  Schema 2 markers carry stats
+#: cumulative through their segment (schema 1 carried per-segment
+#: stats); a marker of any other schema is never resumed or folded on.
+REPLAY_SCHEMA = 2
 
 # The default replay machine: a large thin-node cluster in the KTH/ANL
 # size class — enough nodes that deep backfill queues carry hundreds of
@@ -295,12 +303,56 @@ def _segment_paths(out_dir: Path, chain: str, index: int):
     )
 
 
+_BLOCK = 1 << 20
+
+
 def _file_sha256(path: Path) -> str:
     sha = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(_BLOCK), b""):
             sha.update(block)
     return sha.hexdigest()
+
+
+def _read_marker(done_path: Path) -> Dict[str, Any]:
+    """A segment's done marker of this schema.
+
+    Raises ``ValueError`` saying why there is none: the file is
+    missing, torn (not one JSON object), or from another schema.
+    """
+    try:
+        raw = done_path.read_bytes()
+    except FileNotFoundError:
+        raise ValueError("missing") from None
+    try:
+        marker = json.loads(raw)
+    except ValueError:  # not JSON, or not text at all
+        marker = None
+    if not isinstance(marker, dict):
+        raise ValueError("torn")
+    if marker.get("schema") != REPLAY_SCHEMA:
+        raise ValueError(
+            f"schema {marker.get('schema')!r}, not {REPLAY_SCHEMA}"
+        )
+    return marker
+
+
+def _chain_marker(
+    out_dir: Path, chain: str, index: int, user: str
+) -> Dict[str, Any]:
+    """Segment ``index``'s done marker, which ``user`` cannot do without.
+
+    Raises :class:`~repro.errors.ReplayStateError` naming the chain,
+    ``user`` and the segment when the marker is not usable.
+    """
+    _, _, done_path = _segment_paths(out_dir, chain, index)
+    try:
+        return _read_marker(done_path)
+    except ValueError as exc:
+        raise ReplayStateError(
+            f"replay chain {chain!r}: {user} needs the done marker of "
+            f"segment {index} ({done_path.name}), which is {exc}"
+        ) from None
 
 
 def run_segment(
@@ -319,6 +371,13 @@ def run_segment(
     other two are complete, so a re-run returns the recorded marker
     without touching the engine (crash-resumable replay).
 
+    Segment *k>0* continues the chain's fold from the cumulative
+    ``stats`` in segment *k-1*'s marker, so its own marker's ``stats``
+    cover segments 0..k while ``records`` counts only its own spill.
+    Without a usable predecessor marker it raises
+    :class:`~repro.errors.ReplayStateError` rather than fold from
+    empty stats.
+
     ``boundary`` is the clock to advance to before checkpointing —
     just below the next segment's first submit, so every event of this
     window (and nothing of the next) has fired.
@@ -328,20 +387,23 @@ def run_segment(
     seg = SegmentBounds(**seg_doc)
     records_path, ckpt_path, done_path = _segment_paths(out, chain, seg.index)
 
-    if done_path.is_file():
-        try:
-            marker = json.loads(done_path.read_text())
-        except json.JSONDecodeError:
-            marker = None  # torn marker: the segment re-runs
-        if marker is not None and marker.get("schema") == REPLAY_SCHEMA:
-            marker["resumed"] = True
-            return marker
+    try:
+        marker = _read_marker(done_path)
+    except ValueError:
+        pass  # missing, torn or stale: the segment (re-)runs
+    else:
+        marker["resumed"] = True
+        return marker
 
+    carried = None
+    if seg.index:
+        prev = _chain_marker(out, chain, seg.index - 1, f"segment {seg.index}")
+        carried = RollingStats.from_dict(prev["stats"])
     start = time.perf_counter()
     cluster, scheduler = spec.build_engine_parts()
     stream = spec.segment_stream(seg)
     tmp_records = Path(str(records_path) + ".tmp")
-    rolling = RollingResults(spill_path=tmp_records)
+    rolling = RollingResults(spill_path=tmp_records, stats=carried)
     try:
         if seg.index == 0:
             sim = SchedulerSimulation(
@@ -379,7 +441,7 @@ def run_segment(
         "chain": chain,
         "segment": seg.index,
         "stream_jobs": seg.jobs,
-        "records": stats.jobs,
+        "records": rolling.records,
         "sha256": _file_sha256(records_path),
         "stats": stats.to_dict(),
         "elapsed_s": round(time.perf_counter() - start, 3),
@@ -397,25 +459,27 @@ def stitch_chain(
     plan: List[SegmentBounds],
     stitched_path: Path,
 ) -> Dict[str, Any]:
-    """Concatenate a chain's segment records; re-fold sequentially.
+    """Concatenate and hash a chain's segment spills; a byte copy.
 
-    The fold runs over the stitched stream in order — *not* by merging
-    per-segment partial sums — so floating-point accumulation order
-    matches a live single-run fold exactly and the resulting stats are
-    bit-identical, not merely close.
+    The segments already ran one sequential fold (each continued its
+    predecessor's cumulative stats), so the last marker's ``stats`` are
+    the chain's, bit-identical to a single-run fold — *not* a merge of
+    per-segment partial sums.  The spills are copied and hashed in
+    1 MiB blocks; no record is parsed or folded again.  Record counts
+    come from the markers.
     """
-    stats = RollingStats()
+    out_dir = Path(out_dir)
+    markers = [_chain_marker(out_dir, chain, seg.index, "stitch") for seg in plan]
     sha = hashlib.sha256()
-    records = 0
     with open(stitched_path, "wb") as out:
         for seg in plan:
-            records_path, _, _ = _segment_paths(Path(out_dir), chain, seg.index)
+            records_path, _, _ = _segment_paths(out_dir, chain, seg.index)
             with open(records_path, "rb") as fh:
-                for raw in fh:
-                    out.write(raw)
-                    sha.update(raw)
-                    stats.add_record(json.loads(raw))
-                    records += 1
+                for block in iter(lambda: fh.read(_BLOCK), b""):
+                    out.write(block)
+                    sha.update(block)
+    stats = RollingStats.from_dict(markers[-1]["stats"])
+    records = sum(marker["records"] for marker in markers)
     return {
         "chain": chain,
         "segments": len(plan),

@@ -20,8 +20,10 @@ free-node set, pool levels, and released-node counts per breakpoint —
 materialized lazily as scans reach deeper into the future and cached
 thereafter.  Incremental mutation never invalidates that cache:
 
-* :meth:`add_reservation` / :meth:`remove_reservation` are O(log n)
-  locate + insert into sorted boundary arrays — the release sweep is
+* :meth:`add_reservation` / :meth:`remove_reservation` locate by
+  bisect (O(log n)) but insert into and delete from sorted Python
+  lists, O(n) element moves each; removal also renumbers ``_res_index``
+  for every later reservation, an O(n) loop.  The release sweep is
   untouched because reservations are layered on top of it at scan
   time.  Reservations also live in an **interval index**: two sorted
   event timelines (one by start, one by end) that a scan locates its
@@ -404,7 +406,10 @@ class AvailabilityProfile:
         return True
 
     def add_reservation(self, reservation: Reservation) -> Reservation:
-        """Register a promised window (O(log n) index inserts).
+        """Register a promised window.
+
+        Each index insert is located by bisect but is an O(n) list
+        insert, and the reservation's node mask costs O(nodes).
 
         Insertion order is semantic: the pool sweep's tie order at
         equal instants follows it, so two profiles holding equal

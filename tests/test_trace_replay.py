@@ -4,9 +4,13 @@ The headline contract: a trace replayed in N checkpointed segments —
 serially or across a process pool — produces a record stream and
 rolling statistics *bit-identical* to the uninterrupted single-segment
 run (sha256 over the stitched bytes, field-for-field accumulator
-equality).  Around it: segment-planning invariants (strict submit
-separation, full line coverage), idempotent crash resume via done
-markers, the generic dependency-ordered task graph the chains run on,
+equality).  Each segment continues its predecessor's fold from the
+cumulative stats in its done marker, and the stitch only copies bytes,
+so the re-fold of the stitched stream lives here as a check.  Around
+it: segment-planning invariants (strict submit separation, full line
+coverage), idempotent crash resume via done markers (mid-chain and
+across a marker-schema change), the errors for an unusable predecessor
+marker, the generic dependency-ordered task graph the chains run on,
 and the CLI entry point.
 """
 
@@ -14,12 +18,14 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 
 import pytest
 
 from repro import cli
+from repro.engine.results import RollingStats
 from repro.engine.simulation import SchedulerSimulation
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReplayStateError
 from repro.perf.sweep_scaling import workers_trend
 from repro.runner.replay import (
     ReplaySpec,
@@ -27,6 +33,7 @@ from repro.runner.replay import (
     generate_trace,
     plan_segments,
     replay_trace,
+    run_segment,
 )
 from repro.runner.sweep import PoolTask, SweepRunner
 from repro.workload.swf import iter_swf
@@ -240,6 +247,122 @@ def test_replay_resumes_idempotently(tmp_path, small_trace):
         second["chains"]["sharded"]["sha256"]
         == first["chains"]["sharded"]["sha256"]
     )
+
+
+def _done_path(out, chain, index):
+    return out / f"{chain}-seg{index:03d}.done.json"
+
+
+def _resumed(payload, chain="sharded"):
+    return [m["resumed"] for m in payload["chains"][chain]["segment_markers"]]
+
+
+def test_stitched_stream_refolds_to_carried_stats(tmp_path, small_trace):
+    """The stitch copies bytes and reports the carried stats; folding
+    the stitched JSONL line by line from empty stats must reproduce
+    them exactly, for the sharded and the unsharded chain."""
+    payload = replay_trace(
+        small_spec(small_trace), segments=4, workers=1,
+        out_dir=tmp_path / "segments", verify=True,
+    )
+    for chain in ("sharded", "unsharded"):
+        report = payload["chains"][chain]
+        refold = RollingStats()
+        with open(report["path"]) as fh:
+            for line in fh:
+                refold.add_record(json.loads(line))
+        assert refold.to_dict() == report["stats"]
+        assert json.dumps(refold.to_dict()) == json.dumps(report["stats"])
+        assert refold.jobs == report["records"] == 400
+
+
+def test_marker_stats_are_cumulative(tmp_path, small_trace):
+    payload = replay_trace(
+        small_spec(small_trace), segments=4, workers=1,
+        out_dir=tmp_path / "segments",
+    )
+    markers = payload["chains"]["sharded"]["segment_markers"]
+    running = 0
+    for marker in markers:
+        running += marker["records"]
+        assert marker["stats"]["jobs"] == running
+    assert markers[-1]["stats"] == payload["chains"]["sharded"]["stats"]
+
+
+def test_mid_chain_crash_resumes_from_carried_stats(tmp_path, small_trace):
+    spec = small_spec(small_trace)
+    out = tmp_path / "segments"
+    first = replay_trace(spec, segments=4, workers=1, out_dir=out)
+    for index in (2, 3):
+        _done_path(out, "sharded", index).unlink()
+    second = replay_trace(spec, segments=4, workers=1, out_dir=out)
+    assert _resumed(first) == [False] * 4
+    assert _resumed(second) == [True, True, False, False]
+    for key in ("sha256", "stats", "records"):
+        assert second["chains"]["sharded"][key] == first["chains"]["sharded"][key]
+
+
+def test_schema_1_marker_reruns_its_segment(tmp_path, small_trace):
+    """A marker from the per-segment-stats schema is never resumed or
+    folded on: its segment re-runs and the chain still matches the
+    unsharded run."""
+    spec = small_spec(small_trace)
+    out = tmp_path / "segments"
+    replay_trace(spec, segments=3, workers=1, out_dir=out)
+    done = _done_path(out, "sharded", 1)
+    marker = json.loads(done.read_text())
+    own = RollingStats()
+    with open(out / "sharded-seg001.records.jsonl") as fh:
+        for line in fh:
+            own.add_record(json.loads(line))
+    marker.update(schema=1, stats=own.to_dict(), records=own.jobs)
+    done.write_text(json.dumps(marker))
+
+    payload = replay_trace(spec, segments=3, workers=1, out_dir=out, verify=True)
+    assert _resumed(payload) == [True, False, True]
+    assert payload["verify"]["identical"] is True
+    assert (
+        payload["chains"]["sharded"]["stats"]
+        == payload["chains"]["unsharded"]["stats"]
+    )
+    assert json.loads(done.read_text())["schema"] == 2
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        ("missing", "which is missing"),
+        ("torn", "which is torn"),
+        ("schema", "which is schema 1, not 2"),
+    ],
+)
+def test_segment_refuses_unusable_predecessor_marker(
+    tmp_path, small_trace, damage, reason
+):
+    spec = small_spec(small_trace)
+    out = tmp_path / "segments"
+    replay_trace(spec, segments=3, workers=1, out_dir=out)
+    prev = _done_path(out, "sharded", 0)
+    if damage == "missing":
+        prev.unlink()
+    elif damage == "torn":
+        prev.write_text(prev.read_text()[:40])
+    else:
+        marker = json.loads(prev.read_text())
+        prev.write_text(json.dumps(dict(marker, schema=1)))
+    _done_path(out, "sharded", 1).unlink()
+
+    plan = plan_segments(small_trace, 3, spec.swf_fields())
+    with pytest.raises(
+        ReplayStateError,
+        match=rf"chain 'sharded': segment 1 needs the done marker of "
+        rf"segment 0 \(sharded-seg000\.done\.json\), {reason}",
+    ):
+        run_segment(
+            spec.to_dict(), asdict(plan[1]), None, str(out), "sharded"
+        )
+    # Nothing was folded from empty stats and marked done.
+    assert not _done_path(out, "sharded", 1).exists()
 
 
 def test_streamed_rolling_replay_matches_offline_run(small_trace):
