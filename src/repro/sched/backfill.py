@@ -36,8 +36,8 @@ reservation plan is a **persistent, diffed structure** — teardown
 retains the standing reservations instead of clearing them, and the
 next pass patches only the
 entries a perturbation can reach (see
-:class:`ConservativeBackfill` for the replay doors and their
-soundness arguments; ``docs/ARCHITECTURE.md`` for the full map).
+:class:`ConservativeBackfill` for the replay door and its
+soundness argument; ``docs/ARCHITECTURE.md`` for the full map).
 
 Queue ordering is computed **once per pass**: every policy key is a
 pure function of ``(job, now)`` and ``now`` is fixed for the pass, so
@@ -410,35 +410,21 @@ class EasyBackfill(BackfillStrategy):
 
 
 class _ReservationPlan:
-    """The retained cross-pass reservation plan plus its perturbation
-    ledger.  One instance is rebuilt at every conservative pass
+    """The retained cross-pass reservation plan and its perturbation
+    horizon.  One instance is rebuilt at every conservative pass
     teardown; ``on_release`` mutates it in place as completions fold.
 
     ``entries`` is the previous pass's processed window as
-    ``(job, reservation | None, duration, remote, m_bound)`` tuples —
-    ``m_bound`` is the per-node perturbation bound (largest achievable
-    free-node count at any rejected breakpoint below the reservation's
-    start, demand-sentinel-poisoned by pool rejections; ``None`` when
-    voided).  The ledger fields age that bound:
-
-    * ``horizon`` — the largest release time perturbed since the
-      entries were derived (completion folds, superseded or planted
-      reservations, pass-local starts): evaluation at breakpoints at
-      or beyond it is untouched, so entries starting strictly after it
-      replay behind a probe bounded at the horizon;
-    * ``fold_nodes`` — nodes freed below the horizon by completion
-      folds; while ``m_bound + fold_nodes`` (plus pass-local
-      divergence nodes) stays under a job's demand, no breakpoint
-      below its cached start can have become feasible;
-    * ``retained`` — whether the profile still physically holds the
-      entries' reservations (the persistent plan): set at teardown,
-      consumed by the next pass's retained fast path.
+    ``(job, reservation | None, duration)`` tuples; the profile still
+    physically holds their reservations (the persistent plan).
+    ``horizon`` is the largest release time perturbed since the
+    entries were derived (completion folds, superseded or planted
+    reservations, pass-local starts): evaluation at breakpoints at or
+    beyond it is untouched, so entries starting strictly after it
+    replay behind a probe bounded at the horizon.
     """
 
-    __slots__ = (
-        "profile", "mutations", "horizon", "entries", "fold_nodes",
-        "retained",
-    )
+    __slots__ = ("profile", "mutations", "horizon", "entries")
 
     def __init__(
         self,
@@ -446,14 +432,11 @@ class _ReservationPlan:
         mutations: int,
         horizon: float,
         entries: List[tuple],
-        retained: bool,
     ) -> None:
         self.profile = profile
         self.mutations = mutations
         self.horizon = horizon
         self.entries = entries
-        self.fold_nodes = 0
-        self.retained = retained
 
 
 class ConservativeBackfill(BackfillStrategy):
@@ -500,26 +483,24 @@ class ConservativeBackfill(BackfillStrategy):
       must see exactly the reservations of entries ahead of it — and
       the plain scan-per-entry loop takes over from that position,
       re-adding as it goes;
-    * the retained fast path is armed only when the probe cap sits at
-      *now* and no retained reservation is due at or before it
+    * the retained fast path is armed only when the plan is current
+      and no retained reservation is due at or before *now*
       (otherwise reservations are cleared up front and the pass runs
-      the plain loop — the pre-retention behavior).
+      the plain loop — the pre-retention behavior); while the probe
+      cap sits beyond *now*, the first replayed entry spills for its
+      bounded probe.
 
-    **Layer 3 — the replay bounds.**  With the plan retained, each
+    **Layer 3 — the replay door.**  With the plan retained, each
     entry still needs proof that no breakpoint below its cached start
-    became feasible since its scan:
-
-    * the **probe door**: a bounded ``earliest_start(..., not_after=
-      cap)`` probe re-evaluates the (usually empty) perturbed prefix —
-      exact by construction, it is the full scan truncated;
-    * the **per-node door**: when completion folds blow the time cap
-      far out (early-finish skew), an entry whose scan rejected every
-      earlier breakpoint on *node counts* resumes at its cached start
-      while ``m_bound + freed nodes`` stays under its demand — folds
-      only add those nodes, everything else the replay permits only
-      removes availability.  Entries whose scans rejected some
-      breakpoint on *pool capacity* carry the demand sentinel and
-      always take the probe door.
+    became feasible since its scan.  Breakpoints at or beyond the
+    perturbation horizon were rejected by the deriving scan; the ones
+    below it (plus the new *now*) are re-evaluated by a bounded
+    ``earliest_start(..., not_after=cap)`` probe — exact by
+    construction, it is the full scan truncated.  A probe capped at
+    *now* has one candidate, the anchor, so an anchor free-node count
+    below the job's demand decides it with one compare and no spill.
+    An entry whose cached start does not lie beyond the cap takes a
+    full scan.
 
     Every scan of the pass runs through the profile's shared
     :class:`~repro.sched.profile.SweepCursor`; across a fully-replayed
@@ -536,16 +517,12 @@ class ConservativeBackfill(BackfillStrategy):
         #: The retained cross-pass plan (see :class:`_ReservationPlan`).
         self._plan: Optional[_ReservationPlan] = None
         #: Replay-path counters (exposed for tests and audits).
-        #: ``per_node`` counts uses of the per-node perturbation bound
-        #: (as a scan-free probe proof or as a resume-at-cached-start
-        #: floor); ``probe`` counts replays validated by the anchor
-        #: count or a real bounded probe; ``recompute`` counts full
-        #: scans.  ``retained`` additionally counts replays validated
-        #: *in place* on the persistent plan (no ``add_reservation``)
-        #: — it overlaps the door counters.
-        self.replay_stats = {
-            "retained": 0, "probe": 0, "per_node": 0, "recompute": 0,
-        }
+        #: ``probe`` counts replays validated by the anchor count or a
+        #: real bounded probe; ``recompute`` counts full scans.
+        #: ``retained`` additionally counts replays validated *in
+        #: place* on the persistent plan (no ``add_reservation``) — it
+        #: overlaps ``probe``.
+        self.replay_stats = {"retained": 0, "probe": 0, "recompute": 0}
 
     def on_release(
         self,
@@ -571,7 +548,6 @@ class ConservativeBackfill(BackfillStrategy):
                 plan.mutations = profile.mutation_count
                 if folded_end > plan.horizon:
                     plan.horizon = folded_end
-                plan.fold_nodes += len(job.assigned_nodes)
         return folded_end
 
     def run(self, ctx: SchedulerContext, sched: Scheduler) -> List[StartDecision]:
@@ -603,7 +579,6 @@ class ConservativeBackfill(BackfillStrategy):
         plan = self._plan
         cached_entries: Optional[list] = None
         cap = now
-        fold_nodes = 0
         if (
             plan is not None
             and plan.profile is profile
@@ -612,7 +587,6 @@ class ConservativeBackfill(BackfillStrategy):
             cached_entries = plan.entries
             if plan.horizon > cap:
                 cap = plan.horizon
-            fold_nodes = plan.fold_nodes
         tracking = cached_entries is not None
 
         # The retained fast path: the previous pass left its standing
@@ -622,10 +596,9 @@ class ConservativeBackfill(BackfillStrategy):
         # reservation in place instead of re-adding it: zero
         # reservation-index work for the replayed majority.
         # The cap may sit beyond *now* (completion folds re-stamp the
-        # plan while raising the horizon): in-place validation then
-        # rests on the scan-free bound proofs alone — the anchor-count
-        # shortcut is separately guarded by ``cap <= now`` — and the
-        # first entry needing a real probe or scan spills.  A plan
+        # plan while raising the horizon): the anchor-count shortcut is
+        # then unavailable (it is guarded by ``cap <= now``), so the
+        # first entry that needs a real probe or scan spills.  A plan
         # that is stale or already due spills everything up front and
         # the pass runs the plain loop (the pre-retention behavior,
         # bit-identical).
@@ -634,7 +607,6 @@ class ConservativeBackfill(BackfillStrategy):
             first_due = profile.first_reservation_start()
             live = (
                 tracking
-                and plan.retained
                 and first_due is not None
                 and first_due > now + _EPS
             )
@@ -643,10 +615,10 @@ class ConservativeBackfill(BackfillStrategy):
         retained = 0  # standing reservations validated so far (prefix)
 
         # The pass's one merged availability sweep: every scan below —
-        # replay probes, per-node resumes, and full scans alike — runs
-        # through this cursor, sharing the materialized breakpoint
-        # states across all queued jobs (and, on the retained fast
-        # path, across passes that fold nothing in between).
+        # replay probes and full scans alike — runs through this
+        # cursor, sharing the materialized breakpoint states across all
+        # queued jobs (and, on the retained fast path, across passes
+        # that fold nothing in between).
         sweep = profile.sweep_cursor()
 
         def spill() -> None:
@@ -673,22 +645,6 @@ class ConservativeBackfill(BackfillStrategy):
         # the very same scan code.  A recompute that reproduces the
         # cached entry exactly leaves the pass state where the cache
         # assumed it, so replay resumes behind it.
-        #
-        # The per-node bound is the second replay door: since the
-        # entries were derived, availability below a cached start can
-        # only have *risen* through a bounded set of node releases —
-        # completion folds (``fold_nodes`` nodes freed early) and
-        # in-pass result divergences (the superseded reservation's
-        # claims leave the timeline; everything else the replay
-        # permits only removes availability).  An entry whose original
-        # scan rejected every breakpoint before its start with at most
-        # ``m_bound`` achievable free nodes therefore still has no
-        # start below it while ``m_bound`` plus those releases stays
-        # under the job's node demand — so the fresh scan can resume
-        # *at* the cached start instead of walking the whole prefix,
-        # however far out the fold time horizon sits.
-        c_extra = 0  # pass-local node releases from divergences
-        start_ends: dict = {}  # job_id -> in-pass claim end, per start
         claims: List[Reservation] = []  # in-pass claims, removed at teardown
 
         # On a pool-unmetered machine, pool pressure is identically
@@ -719,8 +675,6 @@ class ConservativeBackfill(BackfillStrategy):
             # Durations are pressure-dependent on metered machines, so
             # a cached entry is only usable while the job's estimate
             # is byte-identical to a fresh one.
-            res_after: Optional[float] = None
-            m_floor = 0
             if entry is not None and entry[2] == dur:
                 cached_res = entry[1]
                 if cached_res is None:
@@ -736,29 +690,15 @@ class ConservativeBackfill(BackfillStrategy):
                     ):  # pragma: no cover - defensive; invariant-kept
                         spill()
                     # The probe's whole range [now, cap] lies strictly
-                    # below the cached start, so the per-node bound
-                    # that justifies resuming *at* the start also
-                    # proves the probe's verdict without running it:
-                    # every breakpoint in the range was rejected by
-                    # the deriving scan, and since then availability
-                    # rose by at most ``fold_nodes + c_extra`` nodes.
-                    # Failing that proof, a probe capped at *now*
-                    # still has one candidate — the anchor — so a
-                    # free-node count below the demand decides it
-                    # with one compare.  (On the
-                    # retained fast path no reservation is active at
-                    # the anchor, so that count is identical with or
-                    # without the standing suffix.)  Only when every
-                    # scan-free proof fails does the real bounded
-                    # probe run — against the validated prefix alone.
-                    door = "probe"
-                    if (
-                        entry[4] is not None
-                        and entry[4] + fold_nodes + c_extra < job.nodes
-                    ):
-                        probe = None
-                        door = "per_node"
-                    elif cap <= now and sweep.count_at_anchor() < job.nodes:
+                    # below the cached start.  A probe capped at *now*
+                    # has one candidate — the anchor — so a free-node
+                    # count below the demand decides it with one
+                    # compare.  (On the retained fast path no
+                    # reservation is active at the anchor, so that
+                    # count is identical with or without the standing
+                    # suffix.)  Otherwise the real bounded probe runs —
+                    # against the validated prefix alone.
+                    if cap <= now and sweep.count_at_anchor() < job.nodes:
                         probe = None
                     else:
                         spill()
@@ -774,59 +714,28 @@ class ConservativeBackfill(BackfillStrategy):
                             replay_stats["retained"] += 1
                         else:
                             profile.add_reservation(cached_res)
-                        replay_stats[door] += 1
+                        replay_stats["probe"] += 1
                         ctx.record_promise(job.job_id, cached_res.start)
-                        # Age the bound by every release accrued
-                        # since the entry was derived.
-                        m_bound = entry[4]
-                        if m_bound is not None:
-                            m_bound = m_bound + fold_nodes + c_extra
-                        entries.append(
-                            (job, cached_res, dur, entry[3], m_bound)
-                        )
+                        entries.append(entry)
                         continue
                     # Startable at or before the cap: fall through to
                     # the fresh scan (which will find that start).
-                elif cached_res.start > now + _EPS:
-                    if (
-                        entry[4] is not None
-                        and entry[4] + fold_nodes + c_extra < job.nodes
-                    ):
-                        # Per-node bound holds: no breakpoint below
-                        # the cached start can satisfy the job even
-                        # with every early-freed node, so the fresh
-                        # scan may resume at the cached start —
-                        # bit-identical to a full scan, minus its
-                        # rejected prefix.
-                        res_after = cached_res.start
-                        m_floor = entry[4] + fold_nodes + c_extra
-                        replay_stats["per_node"] += 1
-            if res_after is None:
-                replay_stats["recompute"] += 1
+            replay_stats["recompute"] += 1
             spill()
             res = sweep.earliest_start(
                 job, dur, split.remote, sched.placement, allocator,
-                after=res_after,
             )
-            max_reject = sweep.last_scan_max_reject
-            if max_reject < m_floor:
-                max_reject = m_floor
             if entry is None or entry[2] != dur or res != entry[1]:
                 # This position diverged from the cached plan.  The
                 # divergence perturbs evaluation only below the later
                 # of the two reservations' ends, so later cached
-                # entries stay usable behind an escalated probe cap;
-                # for the per-node bound it acts like a fold freeing
-                # the superseded reservation's nodes (the replacement
-                # only adds claims).
+                # entries stay usable behind an escalated probe cap.
                 if entry is not None and entry[1] is not None:
-                    old_res = entry[1]
-                    if old_res.end > cap:
-                        cap = old_res.end
-                    c_extra += len(old_res.node_ids)
+                    if entry[1].end > cap:
+                        cap = entry[1].end
                 if res is not None and res.end > cap:
                     cap = res.end
-            entries.append((job, res, dur, split.remote, max_reject))
+            entries.append((job, res, dur))
             if res is None:
                 continue  # cannot run even empty; engine rejects at submit
             if res.start <= now + _EPS:
@@ -839,7 +748,6 @@ class ConservativeBackfill(BackfillStrategy):
                 if sched.gate.permit(ctx, sched, decision):
                     ctx.start_job(decision)
                     started.append(decision)
-                    start_ends[job.job_id] = now + dur
                     entries.pop()  # started jobs leave the queue
                     if now + dur > pass_horizon:
                         pass_horizon = now + dur
@@ -875,7 +783,6 @@ class ConservativeBackfill(BackfillStrategy):
         # dilation, exactly what a fresh build would see), restoring
         # the "fresh build at current cluster state plus the standing
         # plan" invariant the caches rest on.
-        m_poison = False
         for claim in claims:
             profile.remove_reservation(claim)
         for decision in started:
@@ -884,19 +791,9 @@ class ConservativeBackfill(BackfillStrategy):
             profile.apply_start(decision.node_ids, decision.plan, est_end)
             if est_end > pass_horizon:
                 pass_horizon = est_end
-            if est_end < start_ends[job.job_id]:
-                # The realized fold ends before the in-pass claim did
-                # (pressure drift on a metered machine): availability
-                # *rose* in between, which the per-node bound cannot
-                # see — the time cap covers it, the counter does not.
-                # Void it; the probe path is unaffected.
-                m_poison = True
-        if m_poison:
-            entries = [entry[:4] + (None,) for entry in entries]
         self._profile_cache = (ctx.cluster, ctx.cluster.version, profile)
         self._plan = _ReservationPlan(
             profile, profile.mutation_count, pass_horizon, entries,
-            retained=True,
         )
         return started
 

@@ -849,20 +849,10 @@ class SweepCursor:
     * availability between adjacent grid times is constant (every
       release time and reservation bound ≥ *now* is a grid time), so
       evaluating a non-grid instant against the directly computed
-      state is exact as well (used by ``after=`` resumes).
-
-    Scan statistic for the conservative plan cache's per-node replay
-    bound, refreshed by every :meth:`earliest_start` call:
-    :attr:`last_scan_max_reject` is the largest *achievable free-node
-    count* observed at any rejected candidate before the accepted
-    start.  Count-pruned candidates contribute their exact free count,
-    window-rejected ones the windowed count, and pool-capacity
-    rejections the job's full node demand — a sentinel that keeps the
-    bound unusable, since those rejections are not count-limited.
+      state is exact as well (used by ``after=`` scans).
     """
 
-    __slots__ = ("_p", "_times", "_free", "_counts", "_k",
-                 "last_scan_max_reject")
+    __slots__ = ("_p", "_times", "_free", "_counts", "_k")
 
     def __init__(self, profile: AvailabilityProfile) -> None:
         self._p = profile
@@ -875,7 +865,6 @@ class SweepCursor:
         self._free: List[Optional[int]] = []
         self._counts: List[int] = []
         self._k: List[int] = []
-        self.last_scan_max_reject: int = 0
 
     # ------------------------------------------------------------------
     def _state_at(self, t: float) -> Tuple[Optional[int], int, int]:
@@ -1124,11 +1113,6 @@ class SweepCursor:
             _SCAN_OBSERVER(len(times))
         now = p._now
         start = now if after is None else (after if after > now else now)
-        # Rejection statistic (see class doc): the largest achievable
-        # free-node count at any rejected candidate.  Count-limited
-        # rejections are always below the demand, so a pool-capacity
-        # rejection pins it to the demand sentinel for good.
-        max_reject = 0
         trial_nodes: Optional[FrozenSet[int]] = None
         trial_mask = 0
         trial_end_eps = 0.0
@@ -1224,8 +1208,6 @@ class SweepCursor:
                         free &= ~trial_mask
                         cnt = free.bit_count()
             if cnt < nodes_needed:
-                if cnt > max_reject:
-                    max_reject = cnt
                 continue
             t_eps = t + _EPS
             end = t + duration
@@ -1251,12 +1233,9 @@ class SweepCursor:
                     if free is None:
                         free = p._release_mask(k)
                     if free & ws_claim:
-                        windowed = (free & ~ws_claim).bit_count()
-                        if windowed < nodes_needed:
-                            if windowed > max_reject:
-                                max_reject = windowed
-                            continue
                         free &= ~ws_claim
+                        if free.bit_count() < nodes_needed:
+                            continue
             free_set = self._free_set(k, free)
             if trial_const and trial_active:
                 free_set = free_set.difference(trial_nodes)
@@ -1266,10 +1245,7 @@ class SweepCursor:
                 wi_lo, wi_hi,
             )
             if result is not None:
-                self.last_scan_max_reject = max_reject
                 return result
-            max_reject = nodes_needed
-        self.last_scan_max_reject = max_reject
         return None
 
     def _window_accept(

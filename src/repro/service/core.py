@@ -184,6 +184,11 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("replay", "wall"):
             raise ConfigurationError(f"unknown service mode {self.mode!r}")
+        # NaN passes every ``<= 0`` / ``< 0`` check below, and an
+        # infinite clock origin or rate parks the clock at inf or NaN.
+        for name in ("speed", "tick_s", "start_time", "deadline_s", "group_commit_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.speed <= 0:
             raise ConfigurationError("speed must be positive")
         if self.tick_s <= 0:

@@ -137,16 +137,23 @@ def _parse_line(line: str, lineno: int) -> List[float]:
     return vals
 
 
-def _emits(vals: List[float], fields: SWFFields) -> bool:
+def _emits(vals: List[float], fields: SWFFields, lineno: int) -> bool:
     """Whether a parsed data line produces a job under ``fields``.
 
     Mirrors the archive conventions: non-positive processor counts fall
     back to the allocated column, zero-runtime and cancelled (status 5)
     entries are dropped, failed (status 0) entries are dropped unless
-    ``keep_failed``.
+    ``keep_failed``.  A positive but non-integral processor count is
+    malformed and raises :class:`TraceFormatError`.
     """
     procs_req = vals[7] if vals[7] > 0 else vals[4]
-    if procs_req <= 0 or vals[3] <= 0:
+    if procs_req <= 0:
+        return False
+    if not procs_req.is_integer():
+        raise TraceFormatError(
+            f"line {lineno}: non-integral processor count: {procs_req!r}"
+        )
+    if vals[3] <= 0:
         return False
     if vals[10] == 5:  # cancelled before start
         return False
@@ -248,7 +255,7 @@ def swf_line_submit(
     if not stripped or stripped.startswith(";"):
         return None
     vals = _parse_line(stripped, lineno)
-    if not _emits(vals, fields):
+    if not _emits(vals, fields, lineno):
         return None
     return max(0.0, vals[1])
 
@@ -335,7 +342,7 @@ def iter_swf(
                 if rest is not None:
                     raise
                 return
-            if not _emits(vals, fields):
+            if not _emits(vals, fields, cursor.lineno):
                 continue
             job = _build_job(
                 vals,

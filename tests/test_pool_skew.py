@@ -1,10 +1,9 @@
 """Pool-skewed conservative workloads: golden digests plus the oracle.
 
-The per-node replay bound (``tests/test_plan_cache_skew.py``) is
-sentinel-poisoned the moment a scan rejects any breakpoint on *pool
-capacity*, so entries whose scans hit the pool wall always replay
-through the bounded probe or a full rescan.  This suite drives exactly
-that regime and pins its schedules.
+Entries whose reservation scans hit the pool wall replay through the
+bounded probe or a full rescan like every other cached entry, but
+their verdicts hinge on pool capacity rather than node counts.  This
+suite drives exactly that regime and pins its schedules.
 
 The workload mixes:
 
@@ -147,14 +146,14 @@ class TestPoolSkew:
     @pytest.mark.parametrize("seed", range(10))
     def test_pool_skewed_workloads_match_golden(self, seed):
         """Metered pool contention + node-only early finishers: the
-        pool-level bound must be decision-invisible while the fold
-        horizon sits far past every cached start."""
+        replay must be decision-invisible while the fold horizon sits
+        far past every cached start."""
         _run_pool_skew(f"pool-skew-{seed}")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dense_remote_matches_golden(self, seed):
-        """Heavier remote share: more pool-capacity rejections, more
-        entries carrying only the count-only bound."""
+        """Heavier remote share: more pool-capacity rejections in the
+        reservation scans the replay must reproduce."""
         _run_pool_skew(f"pool-skew-dense-{seed}", remote_fraction=0.6)
 
     @pytest.mark.parametrize("seed", range(6))

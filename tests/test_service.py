@@ -238,6 +238,17 @@ class TestProtocol:
         assert percentiles([])["p50"] is None
 
 
+@pytest.mark.parametrize(
+    "field", ["speed", "tick_s", "start_time", "deadline_s", "group_commit_s"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_service_config_rejects_non_finite(field, value):
+    """NaN slips past every sign check; infinities would park the
+    virtual clock at inf or NaN.  Both are configuration errors."""
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        ServiceConfig(**{field: value})
+
+
 # ======================================================================
 # the daemon over real HTTP
 # ======================================================================

@@ -195,6 +195,27 @@ def test_non_finite_field_raises(line):
         swf_line_submit(line, 7)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        swf_line(procs=0.5),
+        swf_line(procs=2.5),
+        swf_line(procs=-1, alloc=0.5),
+    ],
+    ids=["half-procs", "fractional-procs", "half-alloc-fallback"],
+)
+def test_non_integral_procs_raises(line):
+    """A fractional processor count is malformed input: both the
+    stream and the shard planner's classifier reject it naming the
+    line, instead of building a zero-node job or truncating."""
+    lines = sample_text(5).splitlines(True) + [line + "\n"]
+    lineno = len(lines)
+    with pytest.raises(TraceFormatError, match=f"line {lineno}: non-integral"):
+        list(iter_swf(lines))
+    with pytest.raises(TraceFormatError, match="line 7: non-integral"):
+        swf_line_submit(line, 7)
+
+
 def test_header_only_trace_yields_nothing():
     header: dict = {}
     jobs = list(
