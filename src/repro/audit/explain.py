@@ -152,11 +152,10 @@ def _feasible(
 ) -> Tuple[bool, str]:
     """Mirror of ``Scheduler.try_start_now`` minus the gate: could the
     job physically start against the cluster's current state?"""
-    free = cluster.free_ids
-    if job.nodes > len(free):
+    if job.nodes > cluster.free_node_count:
         return False, BOUND_NODES
     node_ids = placement.select(
-        cluster, free, job.nodes, job.remote_per_node, None
+        cluster, cluster.free_mask, job.nodes, job.remote_per_node, None
     )
     if node_ids is None:
         return False, BOUND_POOL

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import AllocationError
 from .fabric import Fabric
+from .masks import mask_of
 from .node import Node, NodeState
 from .pool import MemoryPool
 from .rack import Rack
 from .spec import ClusterSpec
 
 __all__ = ["Cluster"]
+
+#: Up to this many released ids are inserted one by one into the
+#: sorted free list; past it, appending them and re-sorting is cheaper.
+_INSORT_LIMIT = 16
 
 
 class Cluster:
@@ -28,10 +34,15 @@ class Cluster:
         self.spec = spec
         self.nodes: List[Node] = []
         self.racks: List[Rack] = []
+        #: Per rack, ``(first node id, (1 << rack size) - 1)``: racks
+        #: are contiguous id ranges, so ``(mask >> lo) & width`` is the
+        #: rack's slice of a node mask.
+        self.rack_slices: List[Tuple[int, int]] = []
         rack_count = spec.num_racks
         for rack_id in range(rack_count):
             lo = rack_id * spec.nodes_per_rack
             hi = min(lo + spec.nodes_per_rack, spec.num_nodes)
+            self.rack_slices.append((lo, (1 << (hi - lo)) - 1))
             rack_nodes = [
                 Node(node_id, rack_id, spec.node.cores, spec.node.local_mem)
                 for node_id in range(lo, hi)
@@ -54,9 +65,16 @@ class Cluster:
         # second, so the free set is kept incrementally instead of
         # re-scanned, and pool lookups are prebuilt (pool identity
         # never changes after construction).
-        self._free_ids: set[int] = {node.node_id for node in self.nodes}
-        self._free_frozen: Optional[FrozenSet[int]] = frozenset(self._free_ids)
-        self._free_sorted: Optional[List[int]] = sorted(self._free_ids)
+        #: Every node id as a bitmask (bit *i* = node *i*).
+        self.all_mask: int = (1 << len(self.nodes)) - 1
+        #: Idle node ids as a bitmask; read-only.  Every allocation,
+        #: release, failure and repair assigns a new ``int``, so
+        #: placement can recognise the live set by identity and answer
+        #: from :meth:`sorted_free_ids` instead of decoding it.
+        self.free_mask: int = self.all_mask
+        # The same set as an ascending id list, edited in place by each
+        # mutation (only the changed ids move).
+        self._free_sorted: List[int] = list(range(len(self.nodes)))
         #: Monotone state-change counter: bumped by every mutation that
         #: can affect availability (node ownership, node state, pool
         #: grants).  Consumers use it to validate availability caches;
@@ -69,8 +87,6 @@ class Cluster:
         # a pass is one atomic decision unit.
         self._version_hold = False
         self._version_bumped = False
-        self._all_ids: FrozenSet[int] = frozenset(n.node_id for n in self.nodes)
-        self._all_sorted: List[int] = sorted(self._all_ids)
         self._pools: List[MemoryPool] = [
             rack.pool for rack in self.racks if rack.pool is not None
         ]
@@ -143,32 +159,15 @@ class Cluster:
 
     @property
     def free_node_count(self) -> int:
-        return len(self._free_ids)
-
-    @property
-    def free_ids(self) -> FrozenSet[int]:
-        """Maintained frozenset of idle node ids (no scan)."""
-        if self._free_frozen is None:
-            self._free_frozen = frozenset(self._free_ids)
-        return self._free_frozen
-
-    @property
-    def all_node_ids(self) -> FrozenSet[int]:
-        """Every node id, regardless of state (empty-machine queries)."""
-        return self._all_ids
-
-    def sorted_all_ids(self) -> List[int]:
-        """Every node id ascending, cached (do not mutate)."""
-        return self._all_sorted
+        return len(self._free_sorted)
 
     def sorted_free_ids(self) -> List[int]:
-        """Idle node ids ascending, cached (do not mutate).
+        """Idle node ids ascending: the ids of :attr:`free_mask`.
 
-        Placement policies ask for the sorted free set on every
-        feasibility probe; the cache turns that into a slice.
+        The maintained list itself, updated in place by every mutation:
+        do not mutate it, and copy it to keep a snapshot.  First-fit
+        placement on the live free set is a slice of it.
         """
-        if self._free_sorted is None:
-            self._free_sorted = sorted(self._free_ids)
         return self._free_sorted
 
     def free_nodes(self) -> List[Node]:
@@ -227,18 +226,28 @@ class Cluster:
             for node in taken:
                 node.release(job_id)
             raise
-        self._free_ids.difference_update(node_ids)
-        self._free_frozen = None
-        self._free_sorted = None
+        self.free_mask &= ~mask_of(node_ids)
+        free = self._free_sorted
+        if free[: len(node_ids)] == node_ids:
+            # First fit on the live free set takes a prefix of it.
+            del free[: len(node_ids)]
+        else:
+            for node_id in node_ids:
+                del free[bisect_left(free, node_id)]
         self._bump_version()
 
     def release_nodes(self, job_id: int, node_ids: Iterable[int]) -> None:
         node_ids = list(node_ids)
         for node_id in node_ids:
             self.nodes[node_id].release(job_id)
-        self._free_ids.update(node_ids)
-        self._free_frozen = None
-        self._free_sorted = None
+        self.free_mask |= mask_of(node_ids)
+        free = self._free_sorted
+        if len(node_ids) > _INSORT_LIMIT:
+            free.extend(node_ids)
+            free.sort()  # Timsort merges the appended run in C
+        else:
+            for node_id in node_ids:
+                insort(free, node_id)
         self._bump_version()
 
     def take_down(self, node_id: int) -> None:
@@ -252,9 +261,9 @@ class Cluster:
         node.mark_down()
         self._bump_version()
         if was_free:
-            self._free_ids.discard(node_id)
-            self._free_frozen = None
-            self._free_sorted = None
+            self.free_mask &= ~(1 << node_id)
+            free = self._free_sorted
+            del free[bisect_left(free, node_id)]
 
     def bring_up(self, node_id: int) -> None:
         """Return a DOWN node to service."""
@@ -262,9 +271,8 @@ class Cluster:
         if node.state is NodeState.DOWN:
             node.mark_up()
             self._bump_version()
-            self._free_ids.add(node_id)
-            self._free_frozen = None
-            self._free_sorted = None
+            self.free_mask |= 1 << node_id
+            insort(self._free_sorted, node_id)
 
     def allocate_pool(self, job_id: int, grants: Dict[str, int]) -> None:
         """Apply pool grants ``{pool_id: MiB}`` atomically for ``job_id``."""
@@ -299,7 +307,7 @@ class Cluster:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Cheap state snapshot for metrics sampling."""
-        free_count = len(self._free_ids)
+        free_count = len(self._free_sorted)
         return {
             "free_nodes": free_count,
             "busy_nodes": self.num_nodes - free_count

@@ -412,7 +412,7 @@ class Scheduler:
             return True
         capacities = cluster.pool_capacities()
         node_ids = self.placement.select(
-            cluster, cluster.all_node_ids, job.nodes, split.remote, capacities
+            cluster, cluster.all_mask, job.nodes, split.remote, capacities
         )
         if node_ids is None:
             return False
@@ -429,11 +429,11 @@ class Scheduler:
         if job.nodes > cluster.free_node_count:
             return None
         split = self.split_for(job, cluster)
-        free = cluster.free_ids  # maintained set: no per-call node scan
-        # No pool_free hint: policies fall back to live ``pool.free``,
+        # The maintained free mask (no per-call node scan).  No
+        # pool_free hint: policies fall back to live ``pool.free``,
         # which is exactly what the hint dict would have contained.
         node_ids = self.placement.select(
-            cluster, free, job.nodes, split.remote, None
+            cluster, cluster.free_mask, job.nodes, split.remote, None
         )
         if node_ids is None:
             return None

@@ -1,6 +1,7 @@
 """Node selection policies.
 
-Given the set of free nodes, a placement policy picks the concrete
+Given the set of free nodes — an ``int`` bitmask, bit *i* = node *i*
+(:mod:`repro.cluster.masks`) — a placement policy picks the concrete
 nodes a job will occupy.  On a homogeneous machine the choice is
 irrelevant to the job itself — what it changes is **pool locality**:
 with rack-local pools, the racks a job spans determine which pools
@@ -16,9 +17,10 @@ pool-aware policies use the free-capacity hint for *ordering*.
 from __future__ import annotations
 
 import abc
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
 from ..cluster.cluster import Cluster
+from ..cluster.masks import lowest_ids
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -47,35 +49,50 @@ class PlacementPolicy(abc.ABC):
     def select(
         self,
         cluster: Cluster,
-        free_nodes: FrozenSet[int],
+        free_mask: int,
         count: int,
         remote_per_node: int,
         pool_free: Optional[Mapping[str, int]] = None,
     ) -> Optional[List[int]]:
-        """Pick ``count`` nodes from ``free_nodes`` or return ``None``.
+        """Pick ``count`` nodes from ``free_mask`` or return ``None``.
 
-        ``remote_per_node`` and ``pool_free`` are hints for pool-aware
-        ordering; capacity enforcement happens in the allocator.
+        ``free_mask`` is the free node set as a bitmask (bit *i* = node
+        *i*, see :mod:`repro.cluster.masks`).  ``remote_per_node`` and
+        ``pool_free`` are hints for pool-aware ordering; capacity
+        enforcement happens in the allocator.
         """
 
     @staticmethod
-    def _sorted_ids(cluster: Cluster, free_nodes: FrozenSet[int]) -> List[int]:
-        """``sorted(free_nodes)``, served from the cluster's cache when
-        the caller passed the live free set (identity check — the
-        values are the same either way)."""
-        if free_nodes is cluster.free_ids:
-            return cluster.sorted_free_ids()
-        if free_nodes is cluster.all_node_ids:
-            return cluster.sorted_all_ids()
-        return sorted(free_nodes)
+    def _rack_counts(cluster: Cluster, free_mask: int) -> List[Tuple[int, int]]:
+        """``(rack id, free count)`` of every rack with a free node, in
+        rack order, counted on each rack's slice of the mask."""
+        counts = []
+        for rack_id, (lo, width) in enumerate(cluster.rack_slices):
+            free = (free_mask >> lo & width).bit_count()
+            if free:
+                counts.append((rack_id, free))
+        return counts
+
+    @staticmethod
+    def _rack_ids(cluster: Cluster, free_mask: int, rack_id: int, take: int) -> List[int]:
+        """The ``take`` lowest free node ids of rack ``rack_id``."""
+        lo, width = cluster.rack_slices[rack_id]
+        return [lo + i for i in lowest_ids(free_mask >> lo & width, take)]
 
     @classmethod
-    def _by_rack(cls, cluster: Cluster, free_nodes: FrozenSet[int]) -> Dict[int, List[int]]:
-        racks: Dict[int, List[int]] = {}
-        nodes = cluster.nodes
-        for node_id in cls._sorted_ids(cluster, free_nodes):
-            racks.setdefault(nodes[node_id].rack_id, []).append(node_id)
-        return racks
+    def _fill_racks(
+        cls, cluster: Cluster, free_mask: int, ordered: List[Tuple[int, int]], count: int
+    ) -> Optional[List[int]]:
+        """Take nodes rack by rack in ``ordered`` (``(rack id, free
+        count)`` pairs), lowest ids first within a rack, until
+        ``count`` are chosen; ``None`` when no rack has a free node."""
+        chosen: List[int] = []
+        for rack_id, free in ordered:
+            take = min(count - len(chosen), free)
+            chosen.extend(cls._rack_ids(cluster, free_mask, rack_id, take))
+            if len(chosen) == count:
+                return chosen
+        return None
 
 
 class FirstFitPlacement(PlacementPolicy):
@@ -83,10 +100,14 @@ class FirstFitPlacement(PlacementPolicy):
 
     name = "first_fit"
 
-    def select(self, cluster, free_nodes, count, remote_per_node, pool_free=None):
-        if len(free_nodes) < count:
+    def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
+        if free_mask is cluster.free_mask:
+            # The live free set: its ids are maintained sorted already.
+            free = cluster.sorted_free_ids()
+            return free[:count] if len(free) >= count else None
+        if free_mask.bit_count() < count:
             return None
-        return self._sorted_ids(cluster, free_nodes)[:count]
+        return lowest_ids(free_mask, count)
 
 
 class RackPackPlacement(PlacementPolicy):
@@ -100,19 +121,13 @@ class RackPackPlacement(PlacementPolicy):
 
     name = "rack_pack"
 
-    def select(self, cluster, free_nodes, count, remote_per_node, pool_free=None):
-        if len(free_nodes) < count:
+    def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
+        if free_mask.bit_count() < count:
             return None
-        racks = self._by_rack(cluster, free_nodes)
+        racks = self._rack_counts(cluster, free_mask)
         # Most free nodes first => fewest racks touched; rack id ties.
-        ordered = sorted(racks.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-        chosen: List[int] = []
-        for _, nodes in ordered:
-            take = min(count - len(chosen), len(nodes))
-            chosen.extend(nodes[:take])
-            if len(chosen) == count:
-                return chosen
-        return None  # pragma: no cover - guarded by the size check
+        ordered = sorted(racks, key=lambda rc: (-rc[1], rc[0]))
+        return self._fill_racks(cluster, free_mask, ordered, count)
 
 
 class MinRemotePlacement(PlacementPolicy):
@@ -127,10 +142,10 @@ class MinRemotePlacement(PlacementPolicy):
     name = "min_remote"
     uses_pool_hint = True
 
-    def select(self, cluster, free_nodes, count, remote_per_node, pool_free=None):
-        if len(free_nodes) < count:
+    def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
+        if free_mask.bit_count() < count:
             return None
-        racks = self._by_rack(cluster, free_nodes)
+        racks = self._rack_counts(cluster, free_mask)
 
         def rack_pool_free(rack_id: int) -> int:
             pool = cluster.rack(rack_id).pool
@@ -141,16 +156,9 @@ class MinRemotePlacement(PlacementPolicy):
             return pool.free
 
         ordered = sorted(
-            racks.items(),
-            key=lambda kv: (-rack_pool_free(kv[0]), -len(kv[1]), kv[0]),
+            racks, key=lambda rc: (-rack_pool_free(rc[0]), -rc[1], rc[0])
         )
-        chosen: List[int] = []
-        for _, nodes in ordered:
-            take = min(count - len(chosen), len(nodes))
-            chosen.extend(nodes[:take])
-            if len(chosen) == count:
-                return chosen
-        return None  # pragma: no cover - guarded by the size check
+        return self._fill_racks(cluster, free_mask, ordered, count)
 
 
 class SpreadPlacement(PlacementPolicy):
@@ -164,21 +172,25 @@ class SpreadPlacement(PlacementPolicy):
 
     name = "spread"
 
-    def select(self, cluster, free_nodes, count, remote_per_node, pool_free=None):
-        if len(free_nodes) < count:
+    def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
+        if free_mask.bit_count() < count:
             return None
-        racks = self._by_rack(cluster, free_nodes)
-        queues = [list(nodes) for _, nodes in sorted(racks.items())]
+        # One node per rack per round, lowest ids first, racks in id
+        # order; a rack drops out once it is exhausted.
+        queues = [
+            self._rack_ids(cluster, free_mask, rack_id, free)
+            for rack_id, free in self._rack_counts(cluster, free_mask)
+        ]
         chosen: List[int] = []
-        index = 0
+        depth = 0
         while len(chosen) < count:
-            queue = queues[index % len(queues)]
-            if queue:
-                chosen.append(queue.pop(0))
-            index += 1
-            if all(not q for q in queues):
-                break
-        return chosen if len(chosen) == count else None
+            for queue in queues:
+                if depth < len(queue):
+                    chosen.append(queue[depth])
+                    if len(chosen) == count:
+                        break
+            depth += 1
+        return chosen
 
 
 _POLICIES = {

@@ -15,10 +15,15 @@ node ids, not just counts — because rack-local pools make placement
 identity matter: 16 free nodes spread over 4 racks cannot use a single
 rack's pool the way 16 nodes in one rack can.
 
+Node sets are ``int`` bitmasks throughout (bit *i* = node *i*, see
+:mod:`repro.cluster.masks`): the profile starts from the cluster's
+``free_mask`` and hands masks straight to the placement policy.
+
 Implementation: a sorted release timeline with a cumulative sweep —
-free-node set, pool levels, and released-node counts per breakpoint —
-materialized lazily as scans reach deeper into the future and cached
-thereafter.  Incremental mutation never invalidates that cache:
+free-node masks, pool levels, and released-node counts per
+breakpoint — materialized lazily as scans reach deeper into the future
+and cached thereafter.  Incremental mutation never invalidates that
+cache:
 
 * :meth:`add_reservation` / :meth:`remove_reservation` locate by
   bisect (O(log n)) but insert into and delete from sorted Python
@@ -78,10 +83,11 @@ after *now*; the classic "expected to end any moment" convention.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from itertools import accumulate, compress
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..cluster.masks import mask_of as _mask_of
 from ..workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,28 +124,6 @@ def set_scan_observer(
     return previous
 
 
-def _mask_of(node_ids: Iterable[int]) -> int:
-    """Node bitmask of an id collection: bit *i* set for node *i*
-    (cluster node ids are dense ``0..N-1``)."""
-    mask = 0
-    for node_id in node_ids:
-        mask |= 1 << node_id
-    return mask
-
-
-#: ``bytes.translate`` table turning a binary digit string into 0/1 bytes.
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _ids_of(mask: int) -> Iterable[int]:
-    """The node ids set in ``mask``, ascending, decoded in one C-level
-    pass over its binary digits (``compress`` keeps the positions of
-    the 1 bytes).  The cost follows the mask width, as does the
-    frozenset difference that consumes the ids."""
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # byte i = bit i
-    return compress(range(len(bits)), bits)
-
-
 def _release_time(release: tuple) -> float:
     return release[0]
 
@@ -161,10 +145,26 @@ class Reservation:
     end: float
     node_ids: Tuple[int, ...]
     pool_grants: Tuple[Tuple[str, int], ...]  # sorted (pool_id, MiB)
+    #: Bitmask of ``node_ids``, computed once by :func:`_node_mask` —
+    #: at the reservation's first registration, not at creation (most
+    #: scan results are never registered).  Derived, so it takes no
+    #: part in equality, hashing or repr.
+    node_mask: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def plan(self) -> Dict[str, int]:
         return dict(self.pool_grants)
+
+
+def _node_mask(res: Reservation) -> int:
+    """``res.node_mask``, computed and stored on first use."""
+    mask = res.node_mask
+    if mask is None:
+        mask = _mask_of(res.node_ids)
+        object.__setattr__(res, "node_mask", mask)  # frozen: derived cache
+    return mask
 
 
 class AvailabilityProfile:
@@ -191,7 +191,10 @@ class AvailabilityProfile:
         the remaining time from ``job.start_time``."""
         self._cluster = cluster
         self._now = now
-        self._base_free: FrozenSet[int] = cluster.free_ids
+        # The cluster's own free mask object: placement answers it from
+        # the cluster's sorted free list without decoding.
+        self._base_mask: int = cluster.free_mask
+        self._base_count: int = cluster.free_node_count
         self._base_pool_free: Dict[str, int] = {
             pool.pool_id: pool.free for pool in cluster.all_pools()
         }
@@ -216,21 +219,18 @@ class AvailabilityProfile:
         releases.sort(key=_release_time)  # stable: running order ties
 
         # The raw timeline plus a *lazily* materialized cumulative
-        # sweep: most cycles only probe the first few breakpoints, so
-        # cumulative states are built on demand and cached.
+        # sweep — free-node masks (bit i = node i) and pool levels:
+        # most cycles only probe the first few breakpoints, so
+        # cumulative states are built on demand, cached, and patched
+        # by the folds (see _release_mask / _release_pool).  Each
+        # release's own mask is kept once computed, aligned with the
+        # timeline.
         self._releases = releases  # sorted (time, node_ids, grants)
         self._rel_times: List[float] = [item[0] for item in releases]
         self._rel_cum_count: List[int] = list(
             accumulate(len(item[1]) for item in releases)
         )
-        self._rel_cum_free: List[FrozenSet[int]] = []  # lazy prefix
         self._rel_cum_pool: List[Dict[str, int]] = []  # lazy prefix
-        # The same free-node sweep as bitmasks (bit i = node i), for
-        # the sweep cursor's claim arithmetic only; built the first
-        # time a claim meets it, then patched by the folds (see
-        # _release_mask).  Each release's own mask is kept once
-        # computed, aligned with the timeline.
-        self._base_mask: Optional[int] = None
         self._rel_cum_mask: List[int] = []  # lazy prefix
         self._rel_masks: List[Optional[int]] = [None] * len(releases)
         # Subsequence of releases that return pool memory (window scans).
@@ -262,40 +262,29 @@ class AvailabilityProfile:
         #: lazily, dropped by any mutation it cannot track in place.
         self._cursor: Optional["SweepCursor"] = None
 
-    def _ensure_swept(self, k: int) -> None:
-        """Materialize cumulative sweep entries up to index ``k``."""
-        cum_free = self._rel_cum_free
-        cum_pool = self._rel_cum_pool
-        i = len(cum_free)
-        if i > k:
-            return
-        releases = self._releases
-        cur_free = cum_free[i - 1] if i else self._base_free
-        prev_pool = cum_pool[i - 1] if i else self._base_pool_free
-        while i <= k:
-            _, node_ids, grants = releases[i]
-            cur_free = cur_free.union(node_ids)
-            prev_pool = dict(prev_pool)
-            if grants:
-                for pool_id, amount in grants.items():
-                    prev_pool[pool_id] = prev_pool.get(pool_id, 0) + amount
-            cum_free.append(cur_free)
-            cum_pool.append(prev_pool)
-            i += 1
+    def _release_pool(self, k: int) -> Dict[str, int]:
+        """Pool levels after the first ``k`` releases (before any
+        reservation claim); do not mutate."""
+        if not k:
+            return self._base_pool_free
+        cum = self._rel_cum_pool
+        i = len(cum)
+        if i < k:
+            releases = self._releases
+            cur = cum[i - 1] if i else self._base_pool_free
+            while i < k:
+                cur = dict(cur)
+                for pool_id, amount in releases[i][2].items():
+                    cur[pool_id] = cur.get(pool_id, 0) + amount
+                cum.append(cur)
+                i += 1
+        return cum[k - 1]
 
     def _release_mask(self, k: int) -> int:
         """Free-node bitmask after the first ``k`` releases (before any
-        reservation claim) — the mask twin of ``_rel_cum_free[k - 1]``.
-
-        Built lazily the first time the sweep cursor intersects a claim
-        with the release state — profiles that never carry a claim
-        (EASY's, whose trial stays a constant count) never pay for it —
-        and then kept exact by the folds, which patch the materialized
-        masks in place instead of dropping them.
-        """
+        reservation claim).  With ``k == 0`` it is the base mask — the
+        cluster's own ``free_mask`` object until a fold replaces it."""
         base = self._base_mask
-        if base is None:
-            base = self._base_mask = _mask_of(self._base_free)
         if not k:
             return base
         cum = self._rel_cum_mask
@@ -409,7 +398,9 @@ class AvailabilityProfile:
         """Register a promised window.
 
         Each index insert is located by bisect but is an O(n) list
-        insert, and the reservation's node mask costs O(nodes).
+        insert.  The reservation's node mask costs O(nodes) at its
+        first registration only: it is kept on the object, so a
+        reservation re-added after a truncation reuses it.
 
         Insertion order is semantic: the pool sweep's tie order at
         equal instants follows it, so two profiles holding equal
@@ -422,7 +413,7 @@ class AvailabilityProfile:
         self._reservations.append(reservation)
         insort(self._res_bounds, reservation.start)
         insort(self._res_bounds, reservation.end)
-        mask = _mask_of(reservation.node_ids)
+        mask = _node_mask(reservation)
         pos = bisect_right(self._res_start_times, reservation.start)
         self._res_start_times.insert(pos, reservation.start)
         self._res_start_refs.insert(pos, reservation)
@@ -558,64 +549,40 @@ class AvailabilityProfile:
         if est_end <= self._now:
             est_end = self._now + _OVERRUN_GRACE
             self._has_clamped_release = True
-        node_ids = tuple(node_ids)  # materialize once: consumed twice below
-        node_set = frozenset(node_ids)
+        node_ids = tuple(node_ids)
+        mask = _mask_of(node_ids)
+        count = len(node_ids)
         grants = dict(pool_grants)
         pos = bisect_right(self._rel_times, est_end)
-        swept = len(self._rel_cum_free)
-        # Patch the materialized prefix: those states lose the nodes
-        # and grants (the job holds them until est_end).  Entries at or
+        # Patch the materialized prefix: the state *at* the new release
+        # equals the pre-patch state after the releases preceding it
+        # (the resources were free), and the states before it lose the
+        # nodes and grants (the job holds them until est_end).  Entries
         # after the insertion point are untouched — the subtraction and
         # the new release cancel exactly — and unmaterialized entries
         # need nothing: the lazy sweep will see the updated raw arrays.
-        for i in range(min(pos, swept)):
-            self._rel_cum_free[i] = self._rel_cum_free[i] - node_set
-            if grants:
-                pool_entry = self._rel_cum_pool[i]
+        cum_mask = self._rel_cum_mask
+        if pos <= len(cum_mask):
+            cum_mask.insert(pos, cum_mask[pos - 1] if pos else self._base_mask)
+        keep = ~mask
+        for i in range(min(pos, len(cum_mask))):
+            cum_mask[i] &= keep
+        self._base_mask &= keep
+        self._base_count -= count
+        cum_pool = self._rel_cum_pool
+        if pos <= len(cum_pool):
+            cum_pool.insert(pos, dict(cum_pool[pos - 1] if pos else self._base_pool_free))
+        if grants:
+            for pool_entry in (*cum_pool[:pos], self._base_pool_free):
                 for pool_id, amount in grants.items():
                     pool_entry[pool_id] = pool_entry.get(pool_id, 0) - amount
-        if pos <= swept:
-            # State *at* the new release equals the pre-patch state
-            # after the releases preceding it (resources were free).
-            # A patched prefix entry must be un-patched to recover it;
-            # the base (pos == 0) has not been shrunk yet.
-            if pos:
-                entry_free = self._rel_cum_free[pos - 1].union(node_set)
-                entry_pool = dict(self._rel_cum_pool[pos - 1])
-                for pool_id, amount in grants.items():
-                    entry_pool[pool_id] = entry_pool.get(pool_id, 0) + amount
-            else:
-                entry_free = self._base_free
-                entry_pool = dict(self._base_pool_free)
-            self._rel_cum_free.insert(pos, entry_free)
-            self._rel_cum_pool.insert(pos, entry_pool)
-        base_mask = self._base_mask
-        mask: Optional[int] = None
-        if base_mask is not None:
-            # The same patch on the mask sweep: the pre-patch state
-            # before the insertion point becomes the new entry, then
-            # the materialized prefix loses the nodes.
-            mask = _mask_of(node_ids)
-            keep = ~mask
-            cum_mask = self._rel_cum_mask
-            limit = min(pos, len(cum_mask))
-            if pos <= len(cum_mask):
-                cum_mask.insert(pos, cum_mask[pos - 1] if pos else base_mask)
-            for i in range(limit):
-                cum_mask[i] &= keep
-            self._base_mask = base_mask & keep
-        self._base_free = self._base_free - node_set
-        for pool_id, amount in grants.items():
-            self._base_pool_free[pool_id] = (
-                self._base_pool_free.get(pool_id, 0) - amount
-            )
         self._rel_times.insert(pos, est_end)
         self._releases.insert(pos, (est_end, node_ids, grants))
         self._rel_masks.insert(pos, mask)
         released = self._rel_cum_count[pos - 1] if pos else 0
-        self._rel_cum_count.insert(pos, released + len(node_set))
+        self._rel_cum_count.insert(pos, released + count)
         for i in range(pos + 1, len(self._rel_cum_count)):
-            self._rel_cum_count[i] += len(node_set)
+            self._rel_cum_count[i] += count
         if grants:
             gpos = bisect_right(self._grant_times, est_end)
             self._grant_times.insert(gpos, est_end)
@@ -661,38 +628,29 @@ class AvailabilityProfile:
         else:
             return False
         entry_grants = self._releases[pos][2]
-        node_set = frozenset(node_tuple)
-        if self._rel_cum_free:
-            # Unlike apply_start (mid-pass, hot sweep), releases land
-            # between passes: dropping the materialized sweep is
-            # cheaper than rewriting a long prefix of frozensets, and
-            # the lazy sweep rebuilds on demand from the updated raw
-            # timeline.
-            self._rel_cum_free.clear()
-            self._rel_cum_pool.clear()
-        base_mask = self._base_mask
         mask = self._rel_masks[pos]
-        if base_mask is not None:
-            # Masks patch cheaply, so the mask sweep is kept: entries
-            # before the removed one gain the nodes, later ones
-            # already held them.
-            if mask is None:
-                mask = _mask_of(node_tuple)
-            cum_mask = self._rel_cum_mask
-            if pos < len(cum_mask):
-                del cum_mask[pos]
-            for i in range(min(pos, len(cum_mask))):
-                cum_mask[i] |= mask
-            self._base_mask = base_mask | mask
-        self._base_free = self._base_free | node_set
-        for pool_id, amount in grants.items():
-            self._base_pool_free[pool_id] = (
-                self._base_pool_free.get(pool_id, 0) + amount
-            )
+        if mask is None:
+            mask = _mask_of(node_tuple)
+        count = len(node_tuple)
+        # Entries before the removed one gain the resources; later ones
+        # already held them.
+        cum_mask = self._rel_cum_mask
+        if pos < len(cum_mask):
+            del cum_mask[pos]
+        for i in range(min(pos, len(cum_mask))):
+            cum_mask[i] |= mask
+        self._base_mask |= mask
+        self._base_count += count
+        cum_pool = self._rel_cum_pool
+        if pos < len(cum_pool):
+            del cum_pool[pos]
+        if grants:
+            for pool_entry in (*cum_pool[:pos], self._base_pool_free):
+                for pool_id, amount in grants.items():
+                    pool_entry[pool_id] = pool_entry.get(pool_id, 0) + amount
         del rel_times[pos]
         del self._releases[pos]
         del self._rel_masks[pos]
-        count = len(node_set)
         cum = self._rel_cum_count
         del cum[pos]
         for i in range(pos, len(cum)):
@@ -818,14 +776,13 @@ class SweepCursor:
     masks cleared, counted with ``int.bit_count``.  Where none is
     active the state stores ``None``: its nodes are the release state
     itself and its count is the release count, plain integer
-    arithmetic.  The release mask is looked up only when a claim has
-    to be intersected with it, so a profile that never carries a
-    claim — EASY with its constant-count trial — builds no mask at
-    all.  The window claims are the OR of the in-window reservations'
-    masks.  A ``frozenset`` is built only for a candidate whose counts
-    pass, because placement consumes sets: the profile's set state at
-    the same release index minus the few nodes the claims removed (see
-    :meth:`_free_set`).
+    arithmetic.  The window claims are the OR of the in-window
+    reservations' masks.  Only a candidate whose counts pass looks up
+    its mask — the state's own, else the release mask, minus the
+    window claims and an EASY trial — and hands it to placement as
+    is.  At the anchor with no claim that is the cluster's own
+    ``free_mask`` object, which first-fit placement answers from the
+    cluster's sorted free list without decoding.
 
     Exactness:
 
@@ -887,28 +844,7 @@ class SweepCursor:
             if claimed:
                 state = p._release_mask(k) & ~claimed
                 return state, state.bit_count(), k
-        return None, len(p._base_free) + (p._rel_cum_count[k - 1] if k else 0), k
-
-    def _free_set(self, k: int, free: Optional[int]) -> FrozenSet[int]:
-        """The node set of ``free``, a subset of release mask ``k``
-        (None: the release state itself).
-
-        Decoding a wide mask is slow, so the set is the profile's set
-        state at the same release index minus the decoded nodes the
-        claims removed.  When nothing was removed, the profile's own
-        set comes back — including the identity of ``cluster.free_ids``
-        that placement short-circuits on.
-        """
-        p = self._p
-        if k:
-            p._ensure_swept(k - 1)
-            base = p._rel_cum_free[k - 1]
-        else:
-            base = p._base_free
-        if free is None:
-            return base
-        removed = p._release_mask(k) & ~free
-        return base.difference(_ids_of(removed)) if removed else base
+        return None, p._base_count + (p._rel_cum_count[k - 1] if k else 0), k
 
     def _materialize_to(self, j: int) -> None:
         """Extend the materialized prefix through grid index ``j``."""
@@ -1113,13 +1049,12 @@ class SweepCursor:
             _SCAN_OBSERVER(len(times))
         now = p._now
         start = now if after is None else (after if after > now else now)
-        trial_nodes: Optional[FrozenSet[int]] = None
         trial_mask = 0
         trial_end_eps = 0.0
         trial_const: Optional[int] = None
         extra: Optional[float] = None
         if trial is not None:
-            trial_nodes = frozenset(trial.node_ids)
+            trial_mask = _node_mask(trial)
             trial_end_eps = trial.end - _EPS
             # The trial's end is a breakpoint add_reservation would
             # have put on the grid; interleave it without touching the
@@ -1131,11 +1066,10 @@ class SweepCursor:
             # state is then a superset of the base (releases only
             # add), so the trial's overlap with any breakpoint state
             # is its full node count — an O(1) per-candidate prune,
-            # and no mask is built for the trial.
-            if not p._reservations and trial_nodes <= p._base_free:
-                trial_const = len(trial_nodes)
-            else:
-                trial_mask = _mask_of(trial_nodes)
+            # and the mask is cleared only from a candidate that
+            # reaches placement.
+            if not p._reservations and not trial_mask & ~p._base_mask:
+                trial_const = trial_mask.bit_count()
 
         counts = self._counts
         free_states = self._free
@@ -1236,11 +1170,12 @@ class SweepCursor:
                         free &= ~ws_claim
                         if free.bit_count() < nodes_needed:
                             continue
-            free_set = self._free_set(k, free)
+            if free is None:
+                free = p._release_mask(k)
             if trial_const and trial_active:
-                free_set = free_set.difference(trial_nodes)
+                free &= ~trial_mask
             result = self._window_accept(
-                t, t_eps, end, end_eps, k, free_set, job, remote_per_node,
+                t, t_eps, end, end_eps, k, free, job, remote_per_node,
                 placement, allocator, memory_aware, trial, trial_active,
                 wi_lo, wi_hi,
             )
@@ -1255,7 +1190,7 @@ class SweepCursor:
         end: float,
         end_eps: float,
         k: int,
-        free: FrozenSet[int],
+        free: int,
         job: Job,
         remote_per_node: int,
         placement: "PlacementPolicy",
@@ -1295,11 +1230,7 @@ class SweepCursor:
         reservations = p._reservations
         has_res = bool(reservations) or trial is not None
         events: Optional[list] = None
-        if k:
-            p._ensure_swept(k - 1)
-            pool = dict(p._rel_cum_pool[k - 1])
-        else:
-            pool = dict(p._base_pool_free)
+        pool = dict(p._release_pool(k))
         if has_res:
             res_index = p._res_index
             for res in reservations:

@@ -37,6 +37,8 @@ earliest submission in each batch waiting out the linger (latency).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import threading
 import time
@@ -205,6 +207,20 @@ class ServiceConfig:
             raise ConfigurationError("group_commit_s must be >= 0")
 
 
+def _keyed(kind: str, body: Dict[str, Any], key: Optional[str]) -> Dict[str, Any]:
+    """An op payload: the request ``body`` plus its idempotency
+    ``key`` and, for a keyed request, ``fp`` — a digest of the
+    operation and the body as the client sent it, which tells a retry
+    of the request apart from a different request reusing the key."""
+    payload = dict(body, key=key)
+    if key is not None:
+        canonical = json.dumps(
+            [kind, body], sort_keys=True, separators=(",", ":"), default=repr
+        )
+        payload["fp"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return payload
+
+
 class _Op:
     """One client request in the engine thread's inbox."""
 
@@ -293,9 +309,12 @@ class SchedulerService:
         self._decision_latencies: List[float] = []
         self._batch_sizes: List[int] = []
         self._next_auto_id = 1
-        #: key -> ("submit", [job ids]) | ("cancel", outcome dict); an
-        #: LRU window bounded by ``config.dedup_window``.
-        self._dedup: "OrderedDict[str, Tuple[str, Any]]" = OrderedDict()
+        #: key -> (kind, outcome, request fingerprint) with kind
+        #: "submit" (outcome: [job ids]) or "cancel" (outcome dict); an
+        #: LRU window bounded by ``config.dedup_window``.  The
+        #: fingerprint is None for entries restored from state written
+        #: before fingerprints were kept.
+        self._dedup: "OrderedDict[str, Tuple[str, Any, Optional[str]]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # durable construction / recovery
@@ -349,8 +368,8 @@ class SchedulerService:
         return {
             "next_auto_id": self._next_auto_id,
             "dedup": [
-                [key, kind, payload]
-                for key, (kind, payload) in self._dedup.items()
+                [key, kind, payload, fingerprint]
+                for key, (kind, payload, fingerprint) in self._dedup.items()
             ],
             "counters": self.counters.to_dict(),
         }
@@ -358,16 +377,19 @@ class SchedulerService:
     def _load_service_state(self, state: Dict[str, Any]) -> None:
         self._next_auto_id = int(state["next_auto_id"])
         self._dedup = OrderedDict(
-            (key, (kind, payload)) for key, kind, payload in state["dedup"]
+            (key, (kind, payload, rest[0] if rest else None))
+            for key, kind, payload, *rest in state["dedup"]
         )
         for name, value in state.get("counters", {}).items():
             if hasattr(self.counters, name):
                 setattr(self.counters, name, value)
 
-    def _register_dedup(self, key: Optional[str], kind: str, payload: Any) -> None:
+    def _register_dedup(
+        self, key: Optional[str], kind: str, payload: Any, fingerprint: Optional[str]
+    ) -> None:
         if key is None or self.config.dedup_window == 0:
             return
-        self._dedup[key] = (kind, payload)
+        self._dedup[key] = (kind, payload, fingerprint)
         self._dedup.move_to_end(key)
         while len(self._dedup) > self.config.dedup_window:
             self._dedup.popitem(last=False)
@@ -408,6 +430,7 @@ class SchedulerService:
                         entry[2],
                         "cancel",
                         {"job_id": entry[1], "outcome": outcome["outcome"]},
+                        entry[3] if len(entry) > 3 else None,
                     )
                 elif kind == "advance":
                     self._do_advance(entry[1])
@@ -418,6 +441,7 @@ class SchedulerService:
                 group.get("key"),
                 "submit",
                 [spec["job_id"] for spec in group["jobs"]],
+                group.get("fp"),
             )
         self.counters.journal_records += 1
 
@@ -458,16 +482,17 @@ class SchedulerService:
 
         With an ``idempotency_key``, retrying the same submission after
         a lost reply returns the original outcome instead of admitting
-        the jobs twice.
+        the jobs twice.  Reusing the key for a different request is
+        refused with ``409 idempotency_conflict``.
         """
         key = check_idempotency_key(idempotency_key)
-        return self._call("submit", {"specs": specs, "key": key})
+        return self._call("submit", _keyed("submit", {"specs": specs}, key))
 
     def cancel(
         self, job_id: int, idempotency_key: Optional[str] = None
     ) -> Dict[str, Any]:
         key = check_idempotency_key(idempotency_key)
-        return self._call("cancel", {"job_id": job_id, "key": key})
+        return self._call("cancel", _keyed("cancel", {"job_id": job_id}, key))
 
     def query(self, job_id: int) -> Dict[str, Any]:
         return self._call("query", job_id)
@@ -659,6 +684,7 @@ class SchedulerService:
                     op.payload.get("key"),
                     "submit",
                     [job.job_id for job in op.result],
+                    op.payload.get("fp"),
                 )
                 op.result = [self._record(job.job_id) for job in op.result]
             op.done.set()
@@ -690,22 +716,51 @@ class SchedulerService:
             pass
 
     # ------------------------------------------------------------------
+    def _dedup_lookup(self, op: _Op) -> Optional[Any]:
+        """The stored outcome when ``op`` retries the request its
+        idempotency key was first used for; None for a fresh key.
+
+        A key already used for a different operation or body raises
+        ``409 idempotency_conflict`` and leaves the entry as it was:
+        the op is answered without being journaled or applied.  An
+        entry restored from older state carries no fingerprint and
+        matches any body of the same operation.
+        """
+        key = op.payload.get("key")
+        entry = self._dedup.get(key) if key is not None else None
+        if entry is None:
+            return None
+        kind, stored, fingerprint = entry
+        if kind != op.kind or (
+            fingerprint is not None and fingerprint != op.payload.get("fp")
+        ):
+            raise ProtocolError(
+                409,
+                "idempotency_conflict",
+                f"idempotency key {key!r} was already used for a "
+                f"different {kind} request",
+            )
+        self.counters.dedup_hits += 1
+        self._dedup.move_to_end(key)
+        return stored
+
     def _cancel_dedup_hit(self, op: _Op) -> bool:
         """Resolve a retried keyed cancel from the dedup window.
 
         Returns True when the op was answered here — the stored
-        outcome, not a second application — so it must not be journaled
-        or dispatched again.
+        outcome, not a second application, or an idempotency
+        conflict — so it must not be journaled or dispatched.
         """
         if op.kind != "cancel" or not isinstance(op.payload, dict):
             return False
-        key = op.payload.get("key")
-        hit = self._dedup.get(key) if key is not None else None
-        if hit is None or hit[0] != "cancel":
+        try:
+            stored = self._dedup_lookup(op)
+        except ProtocolError as exc:
+            op.error = exc
+            op.done.set()
+            return True
+        if stored is None:
             return False
-        self.counters.dedup_hits += 1
-        self._dedup.move_to_end(key)
-        stored = hit[1]
         try:
             op.result = {
                 "job_id": stored["job_id"],
@@ -744,23 +799,27 @@ class SchedulerService:
 
         A hit answers from the stored outcome — the original job ids,
         re-rendered as current records — without touching the engine:
-        exactly-once application under client retries.
+        exactly-once application under client retries.  A conflicting
+        key fails its op here (see :meth:`_dedup_lookup`); such ops are
+        in neither list.
         """
         fresh: List[_Op] = []
         replayed: List[_Op] = []
         for op in submits:
-            key = op.payload.get("key") if isinstance(op.payload, dict) else None
-            hit = self._dedup.get(key) if key is not None else None
-            if hit is not None and hit[0] == "submit":
-                self.counters.dedup_hits += 1
-                self._dedup.move_to_end(key)
-                try:
-                    op.result = [self._record(job_id) for job_id in hit[1]]
-                except ProtocolError as exc:  # pragma: no cover - aged out
-                    op.error = exc
-                replayed.append(op)
-            else:
+            try:
+                stored = self._dedup_lookup(op)
+            except ProtocolError as exc:
+                op.error = exc
+                op.done.set()
+                continue
+            if stored is None:
                 fresh.append(op)
+                continue
+            try:
+                op.result = [self._record(job_id) for job_id in stored]
+            except ProtocolError as exc:  # pragma: no cover - aged out
+                op.error = exc
+            replayed.append(op)
         return fresh, replayed
 
     def _validate_submits(
@@ -841,13 +900,19 @@ class SchedulerService:
             "submits": [
                 {
                     "key": op.payload.get("key"),
+                    "fp": op.payload.get("fp"),
                     "jobs": [job_to_request_spec(job) for job in op.result],
                 }
                 for op in validated
             ],
             "post": [
                 (
-                    ["cancel", op.payload.get("job_id"), op.payload.get("key")]
+                    [
+                        "cancel",
+                        op.payload.get("job_id"),
+                        op.payload.get("key"),
+                        op.payload.get("fp"),
+                    ]
                     if op.kind == "cancel"
                     else ["advance", op.payload]
                 )
@@ -927,6 +992,7 @@ class SchedulerService:
                 payload.get("key"),
                 "cancel",
                 {"job_id": payload.get("job_id"), "outcome": result["outcome"]},
+                payload.get("fp"),
             )
             return result
         if op.kind == "query":

@@ -137,14 +137,20 @@ def _parse_line(line: str, lineno: int) -> List[float]:
     return vals
 
 
+#: Identifier columns that must hold integers: (index, name).
+_ID_FIELDS = ((0, "job number"), (11, "user id"), (12, "group id"))
+
+
 def _emits(vals: List[float], fields: SWFFields, lineno: int) -> bool:
     """Whether a parsed data line produces a job under ``fields``.
 
     Mirrors the archive conventions: non-positive processor counts fall
     back to the allocated column, zero-runtime and cancelled (status 5)
     entries are dropped, failed (status 0) entries are dropped unless
-    ``keep_failed``.  A positive but non-integral processor count is
-    malformed and raises :class:`TraceFormatError`.
+    ``keep_failed``.  On a line that emits, a positive but
+    non-integral processor count, or a non-integral job number, user
+    id or group id, is malformed and raises :class:`TraceFormatError`
+    (truncating it could collide with another job or user).
     """
     procs_req = vals[7] if vals[7] > 0 else vals[4]
     if procs_req <= 0:
@@ -159,6 +165,11 @@ def _emits(vals: List[float], fields: SWFFields, lineno: int) -> bool:
         return False
     if vals[10] == 0 and not fields.keep_failed:  # failed
         return False
+    for index, name in _ID_FIELDS:
+        if not vals[index].is_integer():
+            raise TraceFormatError(
+                f"line {lineno}: non-integral {name}: {vals[index]!r}"
+            )
     return True
 
 

@@ -17,6 +17,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.sched.placement import PlacementPolicy
 
+from ._oracles import mask_nodes
+
 View = Tuple[FrozenSet[int], Dict[str, int]]
 
 #: Zero node demand: no candidate is pruned by count, so every one
@@ -25,8 +27,8 @@ _PROBE = SimpleNamespace(job_id=0, nodes=0)
 
 
 class _ViewRecorder(PlacementPolicy):
-    """Records each offered (free nodes, pool minimum) view and
-    rejects it."""
+    """Records each offered (free nodes, pool minimum) view — the
+    node mask decoded by :func:`mask_nodes` — and rejects it."""
 
     name = "view-recorder"
     #: Makes the cursor build the windowed pool view for every
@@ -38,7 +40,7 @@ class _ViewRecorder(PlacementPolicy):
 
     def select(self, cluster, free_nodes, count, remote_per_node,
                pool_free=None):
-        self.views.append((frozenset(free_nodes), dict(pool_free)))
+        self.views.append((mask_nodes(free_nodes), dict(pool_free)))
         return None
 
 

@@ -59,6 +59,13 @@ def mask_nodes(mask: int) -> FrozenSet[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def nodes_mask(node_ids: Iterable[int]) -> int:
+    """Bitmask of a node id collection, the placement input — the
+    inverse of :func:`mask_nodes`, independent of the cluster's own
+    encoder."""
+    return sum(1 << i for i in set(node_ids))
+
+
 def cursor_free_nodes(cursor, j: int) -> FrozenSet[int]:
     """Free node ids of a sweep cursor's materialized state ``j``,
     decoded with :func:`mask_nodes`: its free-node mask, or where the
@@ -213,7 +220,8 @@ class OracleProfile:
             if len(free) < job.nodes:
                 continue
             node_ids = placement.select(
-                self._cluster, free, job.nodes, remote_per_node, pool_min
+                self._cluster, nodes_mask(free), job.nodes, remote_per_node,
+                pool_min,
             )
             if node_ids is None:
                 continue
@@ -234,3 +242,94 @@ class OracleProfile:
                 pool_grants=tuple(sorted((plan or {}).items())),
             )
         return None
+
+
+# ----------------------------------------------------------------------
+# Reference placement: the set-based select bodies
+# ----------------------------------------------------------------------
+def _ref_sorted_ids(cluster: "Cluster", free_nodes: FrozenSet[int]) -> List[int]:
+    return sorted(free_nodes)
+
+
+def _ref_by_rack(cluster: "Cluster", free_nodes: FrozenSet[int]) -> Dict[int, List[int]]:
+    racks: Dict[int, List[int]] = {}
+    nodes = cluster.nodes
+    for node_id in _ref_sorted_ids(cluster, free_nodes):
+        racks.setdefault(nodes[node_id].rack_id, []).append(node_id)
+    return racks
+
+
+def _ref_first_fit(cluster, free_nodes, count, remote_per_node, pool_free=None):
+    if len(free_nodes) < count:
+        return None
+    return _ref_sorted_ids(cluster, free_nodes)[:count]
+
+
+def _ref_rack_pack(cluster, free_nodes, count, remote_per_node, pool_free=None):
+    if len(free_nodes) < count:
+        return None
+    racks = _ref_by_rack(cluster, free_nodes)
+    # Most free nodes first => fewest racks touched; rack id ties.
+    ordered = sorted(racks.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    chosen: List[int] = []
+    for _, nodes in ordered:
+        take = min(count - len(chosen), len(nodes))
+        chosen.extend(nodes[:take])
+        if len(chosen) == count:
+            return chosen
+    return None
+
+
+def _ref_min_remote(cluster, free_nodes, count, remote_per_node, pool_free=None):
+    if len(free_nodes) < count:
+        return None
+    racks = _ref_by_rack(cluster, free_nodes)
+
+    def rack_pool_free(rack_id: int) -> int:
+        pool = cluster.rack(rack_id).pool
+        if pool is None:
+            return 0
+        if pool_free is not None and pool.pool_id in pool_free:
+            return pool_free[pool.pool_id]
+        return pool.free
+
+    ordered = sorted(
+        racks.items(),
+        key=lambda kv: (-rack_pool_free(kv[0]), -len(kv[1]), kv[0]),
+    )
+    chosen: List[int] = []
+    for _, nodes in ordered:
+        take = min(count - len(chosen), len(nodes))
+        chosen.extend(nodes[:take])
+        if len(chosen) == count:
+            return chosen
+    return None
+
+
+def _ref_spread(cluster, free_nodes, count, remote_per_node, pool_free=None):
+    if len(free_nodes) < count:
+        return None
+    racks = _ref_by_rack(cluster, free_nodes)
+    queues = [list(nodes) for _, nodes in sorted(racks.items())]
+    chosen: List[int] = []
+    index = 0
+    while len(chosen) < count:
+        queue = queues[index % len(queues)]
+        if queue:
+            chosen.append(queue.pop(0))
+        index += 1
+        if all(not q for q in queues):
+            break
+    return chosen if len(chosen) == count else None
+
+
+#: Placement policy name -> reference ``select(cluster, free node set,
+#: count, remote_per_node, pool_free)``: the policies' bodies from when
+#: placement consumed ``frozenset``s, kept as the independent reference
+#: for the bitmask implementations (``test_placement_masks.py``).
+REFERENCE_SELECT: Dict[str, Callable[..., Optional[List[int]]]] = {
+    "first_fit": _ref_first_fit,
+    "rack_pack": _ref_rack_pack,
+    "min_remote": _ref_min_remote,
+    "spread": _ref_spread,
+}

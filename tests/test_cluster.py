@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -295,6 +297,60 @@ class TestCluster:
         assert snap["busy_nodes"] == 2
         assert snap["local_mem_granted"] == 8 * GiB
         assert snap["pool_used"] == 8 * GiB
+
+    def test_rack_slices_cover_racks(self):
+        cluster = Cluster(ClusterSpec(num_nodes=10, nodes_per_rack=4))
+        for rack, (lo, width) in zip(cluster.racks, cluster.rack_slices):
+            ids = [node.node_id for node in rack.nodes]
+            assert lo == ids[0]
+            assert width == (1 << len(ids)) - 1
+
+    @given(
+        num_nodes=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 60),
+    )
+    def test_free_indexes_match_recount(self, num_nodes, seed, steps):
+        """``free_mask``, ``free_node_count`` and the sorted free list
+        are maintained incrementally; after every mutation — including
+        a failing allocation that rolls back — they equal a per-node
+        recount."""
+        rng = random.Random(seed)
+        cluster = Cluster(ClusterSpec(num_nodes=num_nodes, nodes_per_rack=7))
+        running = {}
+        next_job = 1
+
+        def check():
+            free = [node.node_id for node in cluster.nodes if node.is_free]
+            assert cluster.free_mask == sum(1 << node_id for node_id in free)
+            assert cluster.free_node_count == len(free)
+            assert cluster.sorted_free_ids() == free
+
+        check()
+        for _ in range(steps):
+            free = [node.node_id for node in cluster.nodes if node.is_free]
+            down = [n.node_id for n in cluster.nodes if n.state is NodeState.DOWN]
+            op = rng.choice(("allocate", "release", "down", "up", "fail"))
+            if op == "allocate" and free:
+                ids = rng.sample(free, rng.randint(1, len(free)))
+                cluster.allocate_nodes(next_job, ids, local_grant=0)
+                running[next_job] = ids
+                next_job += 1
+            elif op == "release" and running:
+                job_id = rng.choice(sorted(running))
+                ids = running.pop(job_id)
+                cluster.release_nodes(job_id, rng.sample(ids, len(ids)))
+            elif op == "down" and free:
+                cluster.take_down(rng.choice(free))
+            elif op == "up" and down:
+                cluster.bring_up(rng.choice(down))
+            elif op == "fail" and len(free) < num_nodes:
+                taken = [i for i in range(num_nodes) if i not in set(free)]
+                ids = rng.sample(free, rng.randint(0, len(free)))
+                ids.insert(rng.randint(0, len(ids)), rng.choice(taken))
+                with pytest.raises(AllocationError):
+                    cluster.allocate_nodes(next_job, ids, local_grant=0)
+            check()
 
 
 class TestFabric:

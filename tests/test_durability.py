@@ -253,6 +253,117 @@ class TestIdempotency:
             assert len(service.jobs()["jobs"]) == 4
             assert retried[0]["job_id"] == 4
 
+    @staticmethod
+    def _conflict(call) -> None:
+        with pytest.raises(ProtocolError) as err:
+            call()
+        assert err.value.status == 409
+        assert err.value.code == "idempotency_conflict"
+
+    def test_key_reused_with_different_body_conflicts(self, tmp_path):
+        """A key names one request: a different body under it is
+        refused, and neither journaled nor applied."""
+        service = SchedulerService.open(small_config(), durable_config(tmp_path))
+        with service:
+            (first,) = service.submit([dict(SPEC)], idempotency_key="delta")
+            records = service.metrics()["counters"]["journal_records"]
+            self._conflict(lambda: service.submit(
+                [dict(SPEC, nodes=4)], idempotency_key="delta"
+            ))
+            counters = service.metrics()["counters"]
+            assert counters["journal_records"] == records
+            assert counters["dedup_hits"] == 0
+            assert [r["job_id"] for r in service.jobs()["jobs"]] == [first["job_id"]]
+            # The entry is intact: the original request still retries.
+            (again,) = service.submit([dict(SPEC)], idempotency_key="delta")
+            assert again["job_id"] == first["job_id"]
+            assert again["nodes"] == 1
+
+    def test_cancel_reusing_submit_key_conflicts(self, tmp_path):
+        """A cancel under a submit's key is not applied and does not
+        overwrite the submit's entry, so retrying the submit is still
+        answered from it instead of admitting a duplicate job."""
+        service = SchedulerService.open(small_config(), durable_config(tmp_path))
+        with service:
+            (first,) = service.submit([dict(SPEC)], idempotency_key="eps")
+            self._conflict(
+                lambda: service.cancel(first["job_id"], idempotency_key="eps")
+            )
+            assert service.query(first["job_id"])["state"] == "running"
+            (again,) = service.submit([dict(SPEC)], idempotency_key="eps")
+            assert again["job_id"] == first["job_id"]
+            assert len(service.jobs()["jobs"]) == 1
+
+    def test_submit_reusing_cancel_key_conflicts(self, tmp_path):
+        service = SchedulerService.open(small_config(), durable_config(tmp_path))
+        with service:
+            (record,) = service.submit([dict(SPEC)])
+            service.cancel(record["job_id"], idempotency_key="zeta")
+            self._conflict(
+                lambda: service.submit([dict(SPEC)], idempotency_key="zeta")
+            )
+            assert len(service.jobs()["jobs"]) == 1
+            retried = service.cancel(record["job_id"], idempotency_key="zeta")
+            assert retried["outcome"] == "killed"
+
+    def test_conflict_survives_crash(self, tmp_path):
+        """Fingerprints are journaled: after a crash and restart, a
+        reused key still tells its own retry from a different request."""
+        experiment = small_config()
+        svc_config = durable_config(tmp_path, checkpoint_every=0)
+        service = SchedulerService.open(experiment, svc_config).start()
+        (first,) = service.submit([dict(SPEC)], idempotency_key="eta")
+        (other,) = service.submit([dict(SPEC)])
+        service.cancel(other["job_id"], idempotency_key="theta")
+        crash(service)
+        recovered = SchedulerService.open(experiment, svc_config)
+        with recovered:
+            assert recovered.recovery["replayed_records"] > 0
+            self._conflict(lambda: recovered.submit(
+                [dict(SPEC, nodes=4)], idempotency_key="eta"
+            ))
+            self._conflict(
+                lambda: recovered.cancel(first["job_id"], idempotency_key="theta")
+            )
+            (again,) = recovered.submit([dict(SPEC)], idempotency_key="eta")
+            assert again["job_id"] == first["job_id"]
+            assert recovered.query(first["job_id"])["state"] == "running"
+            assert len(recovered.jobs()["jobs"]) == 2
+
+    def test_conflict_survives_snapshot(self, tmp_path):
+        experiment = small_config()
+        svc_config = durable_config(tmp_path)
+        with SchedulerService.open(experiment, svc_config) as service:
+            (first,) = service.submit([dict(SPEC)], idempotency_key="iota")
+        recovered = SchedulerService.open(experiment, svc_config)
+        assert recovered.recovery["replayed_records"] == 0
+        with recovered:
+            self._conflict(lambda: recovered.submit(
+                [dict(SPEC, nodes=4)], idempotency_key="iota"
+            ))
+            (again,) = recovered.submit([dict(SPEC)], idempotency_key="iota")
+            assert again["job_id"] == first["job_id"]
+
+    def test_entry_without_fingerprint_is_a_hit(self, tmp_path):
+        """State written before fingerprints were kept has three-field
+        dedup entries; any body of the same operation still hits."""
+        experiment = small_config()
+        svc_config = durable_config(tmp_path)
+        with SchedulerService.open(experiment, svc_config) as service:
+            (first,) = service.submit([dict(SPEC)], idempotency_key="kappa")
+        service = SchedulerService.open(experiment, svc_config)
+        state = service._service_state()
+        state["dedup"] = [entry[:3] for entry in state["dedup"]]
+        service._load_service_state(state)
+        with service:
+            (again,) = service.submit(
+                [dict(SPEC, nodes=4)], idempotency_key="kappa"
+            )
+            assert again["job_id"] == first["job_id"]
+            self._conflict(
+                lambda: service.cancel(first["job_id"], idempotency_key="kappa")
+            )
+
 
 def gate_engine(service: SchedulerService):
     """Make the engine block mid-drain until the returned gate is set.

@@ -1,0 +1,115 @@
+"""Bitmask placement against the set-based reference bodies.
+
+Placement policies select from an ``int`` node mask.  The golden
+digests all run ``first_fit``, and ``OracleProfile`` calls the
+production placement, so neither pins the rack-aware policies.  This
+suite compares every policy's ``select`` with its reference body in
+``tests/_oracles.py`` (the implementation from when placement consumed
+``frozenset``s) on random free sets over random rack layouts, every
+count from 0 to one past the free count (sampled on wide sets), and
+``min_remote`` with and without a pool hint.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
+from repro.sched.placement import placement_for
+from repro.units import GiB
+
+from ._oracles import REFERENCE_SELECT, nodes_mask
+
+POLICIES = sorted(REFERENCE_SELECT)
+
+
+def _cluster(num_nodes: int, per_rack: int, rng: random.Random) -> Cluster:
+    """A machine with rack pools partly drawn down, so ``min_remote``'s
+    live-state fallback sees unequal (and tied) pool levels."""
+    cluster = Cluster(
+        ClusterSpec(
+            name="masks",
+            num_nodes=num_nodes,
+            nodes_per_rack=per_rack,
+            node=NodeSpec(cores=8, local_mem=16 * GiB),
+            pool=PoolSpec(rack_pool=8 * GiB, global_pool=16 * GiB),
+        )
+    )
+    for rack in cluster.racks:
+        rack.pool.allocate(1, rng.choice((0, 0, 2, 4, 8)) * GiB)
+    return cluster
+
+
+def _hint(cluster: Cluster, rng: random.Random):
+    """A pool hint that omits some rack pools (live-state fallback)
+    and repeats levels (rack-id and free-count tie breaks)."""
+    return {
+        rack.pool.pool_id: rng.choice((0, 1, 3)) * GiB
+        for rack in cluster.racks
+        if rng.random() < 0.7
+    }
+
+
+def _counts(free_count: int, rng: random.Random):
+    """Every count from 0 to one past the free count; on a wide free
+    set, the small counts, the top three and a random sample between."""
+    if free_count <= 64:
+        return range(free_count + 2)
+    top = range(free_count - 1, free_count + 2)
+    return sorted({*range(10), *top, *rng.sample(range(free_count + 2), 20)})
+
+
+def _compare(cluster, free_ids, rng, masks):
+    """Every policy and count, each offered mask, against the
+    reference on the same free set."""
+    free = frozenset(free_ids)
+    hints = [None, _hint(cluster, rng)]
+    for name in POLICIES:
+        policy = placement_for(name)
+        reference = REFERENCE_SELECT[name]
+        for count in _counts(len(free), rng):
+            remote = rng.choice((0, GiB))
+            for hint in hints if name == "min_remote" else [None]:
+                want = reference(cluster, free, count, remote, hint)
+                for mask in masks:
+                    got = policy.select(cluster, mask, count, remote, hint)
+                    assert got == want, (name, count, hint)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_nodes=st.one_of(st.just(1024), st.integers(1, 200)),
+    per_rack=st.integers(1, 70),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_matches_reference(num_nodes, per_rack, density, seed):
+    rng = random.Random(seed)
+    cluster = _cluster(num_nodes, per_rack, rng)
+    free_ids = [i for i in range(num_nodes) if rng.random() < density]
+    _compare(cluster, free_ids, rng, [nodes_mask(free_ids)])
+
+
+@pytest.mark.parametrize("num_nodes, per_rack", [(1024, 48), (1024, 16), (13, 5)])
+def test_live_free_mask_matches_reference(num_nodes, per_rack):
+    """The cluster's own ``free_mask`` object (first fit's sorted-list
+    fast path) and an equal mask built elsewhere select alike, on an
+    uneven last rack too."""
+    rng = random.Random(num_nodes * per_rack)
+    cluster = _cluster(num_nodes, per_rack, rng)
+    busy = rng.sample(range(num_nodes), num_nodes - min(40, num_nodes // 2))
+    cluster.allocate_nodes(7, busy, local_grant=0)
+    free_ids = cluster.sorted_free_ids()
+    assert cluster.free_mask == nodes_mask(free_ids)
+    _compare(cluster, list(free_ids), rng, [cluster.free_mask, nodes_mask(free_ids)])
+
+
+def test_empty_free_set():
+    """No free node at all: count 0 keeps each policy's reference
+    answer (the rack policies find no rack to fill)."""
+    rng = random.Random(0)
+    cluster = _cluster(8, 3, rng)
+    _compare(cluster, [], rng, [0])

@@ -30,6 +30,7 @@ from repro.units import GiB
 from repro.workload import Job, JobState
 
 from ._cursor_views import cursor_free_at, cursor_window_free
+from ._oracles import nodes_mask
 from .conftest import make_job
 
 
@@ -91,34 +92,34 @@ class TestQueuePolicies:
 
 class TestPlacement:
     def test_first_fit_lowest_ids(self, pooled_cluster):
-        free = frozenset(range(8))
+        free = nodes_mask(range(8))
         assert FirstFitPlacement().select(pooled_cluster, free, 3, 0) == [0, 1, 2]
 
     def test_insufficient_nodes(self, pooled_cluster):
-        free = frozenset([1, 5])
+        free = nodes_mask([1, 5])
         assert FirstFitPlacement().select(pooled_cluster, free, 3, 0) is None
 
     def test_rack_pack_minimizes_racks(self, pooled_cluster):
         # rack0 has 2 free, rack1 has 3 free: a 3-node job should land
         # entirely in rack1.
-        free = frozenset([0, 1, 5, 6, 7])
+        free = nodes_mask([0, 1, 5, 6, 7])
         nodes = RackPackPlacement().select(pooled_cluster, free, 3, 0)
         assert nodes == [5, 6, 7]
 
     def test_rack_pack_spills_in_rack_order(self, pooled_cluster):
-        free = frozenset([0, 1, 5, 6, 7])
+        free = nodes_mask([0, 1, 5, 6, 7])
         nodes = RackPackPlacement().select(pooled_cluster, free, 4, 0)
         assert nodes == [5, 6, 7, 0]
 
     def test_min_remote_prefers_pool_space(self, pooled_cluster):
         # Drain rack1's pool; min_remote should prefer rack0 now.
         pooled_cluster.rack(1).pool.allocate(99, 60 * GiB)
-        free = frozenset([0, 1, 4, 5])
+        free = nodes_mask([0, 1, 4, 5])
         nodes = MinRemotePlacement().select(pooled_cluster, free, 2, 4 * GiB)
         assert nodes == [0, 1]
 
     def test_min_remote_uses_override_hint(self, pooled_cluster):
-        free = frozenset([0, 1, 4, 5])
+        free = nodes_mask([0, 1, 4, 5])
         hint = {"rack0": 0, "rack1": 64 * GiB, "global": 0}
         nodes = MinRemotePlacement().select(
             pooled_cluster, free, 2, 4 * GiB, pool_free=hint
@@ -126,12 +127,12 @@ class TestPlacement:
         assert nodes == [4, 5]
 
     def test_spread_round_robins(self, pooled_cluster):
-        free = frozenset(range(8))
+        free = nodes_mask(range(8))
         nodes = SpreadPlacement().select(pooled_cluster, free, 4, 0)
         assert nodes == [0, 4, 1, 5]
 
     def test_spread_handles_uneven_racks(self, pooled_cluster):
-        free = frozenset([0, 4, 5, 6])
+        free = nodes_mask([0, 4, 5, 6])
         nodes = SpreadPlacement().select(pooled_cluster, free, 4, 0)
         assert sorted(nodes) == [0, 4, 5, 6]
 

@@ -216,6 +216,31 @@ def test_non_integral_procs_raises(line):
         swf_line_submit(line, 7)
 
 
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        (swf_line(job=1.5), "job number"),
+        (swf_line(user=1.7), "user id"),
+        (swf_line(group=2.5), "group id"),
+        (swf_line(user=-1.5), "user id"),
+    ],
+    ids=["half-job", "fractional-user", "fractional-group", "negative-user"],
+)
+def test_non_integral_ids_raise(line, name):
+    """A fractional job number, user id or group id is malformed input:
+    truncating job ``1.5`` to 1 could collide with a real job 1, and
+    user ``1.7`` is not ``user1``.  Both the stream and the shard
+    planner's classifier reject it naming the line."""
+    lines = sample_text(5).splitlines(True) + [line + "\n"]
+    lineno = len(lines)
+    with pytest.raises(
+        TraceFormatError, match=f"line {lineno}: non-integral {name}"
+    ):
+        list(iter_swf(lines))
+    with pytest.raises(TraceFormatError, match=f"line 7: non-integral {name}"):
+        swf_line_submit(line, 7)
+
+
 def test_header_only_trace_yields_nothing():
     header: dict = {}
     jobs = list(

@@ -12,8 +12,10 @@ Two cheap, dependency-free invariants:
    CI must not depend on the network.
 
 2. **Module docstrings in the scheduler core.**  Every ``*.py`` under
-   ``src/repro/sched/`` carries a module docstring — the architecture
-   book leans on them, and the bit-identity contracts live there.
+   the ``DOCSTRING_TREES`` (``sched``, ``service``, ``audit`` and
+   ``cluster``) carries a module docstring — the architecture book
+   leans on them, and the bit-identity contracts live there (placement
+   and the profile rely on the cluster's free-mask contract).
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 Run locally as ``python tools/check_docs.py`` from the repo root (or
@@ -33,7 +35,9 @@ REPO = Path(__file__).resolve().parent.parent
 LINKED_DOCS = ("README.md", "docs", "benchmarks/perf/README.md")
 
 #: Python trees whose modules must carry docstrings.
-DOCSTRING_TREES = ("src/repro/sched", "src/repro/service", "src/repro/audit")
+DOCSTRING_TREES = (
+    "src/repro/sched", "src/repro/service", "src/repro/audit", "src/repro/cluster",
+)
 
 # [text](target) — good enough for the hand-written markdown here;
 # skips images' alt-text edge cases by accepting them identically.
