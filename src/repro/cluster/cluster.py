@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import AllocationError
@@ -14,10 +14,6 @@ from .rack import Rack
 from .spec import ClusterSpec
 
 __all__ = ["Cluster"]
-
-#: Up to this many released ids are inserted one by one into the
-#: sorted free list; past it, appending them and re-sorting is cheaper.
-_INSORT_LIMIT = 16
 
 
 class Cluster:
@@ -228,12 +224,8 @@ class Cluster:
             raise
         self.free_mask &= ~mask_of(node_ids)
         free = self._free_sorted
-        if free[: len(node_ids)] == node_ids:
-            # First fit on the live free set takes a prefix of it.
-            del free[: len(node_ids)]
-        else:
-            for node_id in node_ids:
-                del free[bisect_left(free, node_id)]
+        for node_id in node_ids:
+            free.remove(node_id)
         self._bump_version()
 
     def release_nodes(self, job_id: int, node_ids: Iterable[int]) -> None:
@@ -242,12 +234,8 @@ class Cluster:
             self.nodes[node_id].release(job_id)
         self.free_mask |= mask_of(node_ids)
         free = self._free_sorted
-        if len(node_ids) > _INSORT_LIMIT:
-            free.extend(node_ids)
-            free.sort()  # Timsort merges the appended run in C
-        else:
-            for node_id in node_ids:
-                insort(free, node_id)
+        free.extend(node_ids)
+        free.sort()  # Timsort merges the appended run in C
         self._bump_version()
 
     def take_down(self, node_id: int) -> None:
@@ -262,8 +250,7 @@ class Cluster:
         self._bump_version()
         if was_free:
             self.free_mask &= ~(1 << node_id)
-            free = self._free_sorted
-            del free[bisect_left(free, node_id)]
+            self._free_sorted.remove(node_id)
 
     def bring_up(self, node_id: int) -> None:
         """Return a DOWN node to service."""

@@ -15,14 +15,10 @@ from __future__ import annotations
 from itertools import compress, islice
 from typing import Iterable, List
 
-__all__ = ["mask_of", "ids_of", "lowest_ids"]
+__all__ = ["mask_of", "lowest_ids"]
 
 #: ``bytes.translate`` table turning a binary digit string into 0/1 bytes.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-#: Up to this many ids, :func:`lowest_ids` peels the lowest set bit
-#: per id; past it, one C-level pass over the binary digits is cheaper.
-_PEEL_LIMIT = 8
 
 
 def mask_of(node_ids: Iterable[int]) -> int:
@@ -38,25 +34,10 @@ def _digits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def ids_of(mask: int) -> List[int]:
-    """Every id set in ``mask``, ascending, decoded in one C-level pass
-    over its binary digits (``compress`` keeps the positions of the 1
-    bytes)."""
-    bits = _digits(mask)
-    return list(compress(range(len(bits)), bits))
-
-
 def lowest_ids(mask: int, count: int) -> List[int]:
     """The ``count`` lowest ids set in ``mask``, ascending; the caller
-    guarantees ``mask`` has at least ``count`` bits set.  A short
-    prefix peels bits one at a time, so a wide mask is not decoded
-    past the ``count``-th set bit."""
-    if count <= _PEEL_LIMIT:
-        out = []
-        for _ in range(count):
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+    guarantees ``mask`` has at least ``count`` bits set.  One C-level
+    pass over the binary digits (``compress`` keeps the positions of
+    the 1 bytes), cut at the ``count``-th set bit."""
     bits = _digits(mask)
     return list(islice(compress(range(len(bits)), bits), count))

@@ -221,6 +221,16 @@ def _keyed(kind: str, body: Dict[str, Any], key: Optional[str]) -> Dict[str, Any
     return payload
 
 
+def _key_conflict(key: str, kind: str) -> ProtocolError:
+    """The refusal of a request that reuses ``key``, already used for
+    a different ``kind`` request."""
+    return ProtocolError(
+        409,
+        "idempotency_conflict",
+        f"idempotency key {key!r} was already used for a different {kind} request",
+    )
+
+
 class _Op:
     """One client request in the engine thread's inbox."""
 
@@ -652,15 +662,8 @@ class SchedulerService:
         acknowledged, so the idempotent retry re-submits it.
         """
         batch = self._shed_expired(batch)
-        submits = [op for op in batch if op.kind == "submit"]
-        others = [
-            op
-            for op in batch
-            if op.kind != "submit" and not self._cancel_dedup_hit(op)
-        ]
+        fresh, replayed, others, repeats = self._split_dedup(batch)
         target = self._wall_target() if wall else self.engine.now
-
-        fresh, replayed = self._split_dedup(submits)
         validated = self._validate_submits(
             fresh, default_time=max(target, self.engine.now)
         )
@@ -695,6 +698,11 @@ class SchedulerService:
                 op.result = self._dispatch(op)
             except BaseException as exc:  # noqa: BLE001 - per-op isolation
                 op.error = exc
+            op.done.set()
+        for op, first in repeats:
+            op.result, op.error = first.result, first.error
+            if first.error is None:
+                self.counters.dedup_hits += 1
             op.done.set()
         if admitted or others:
             self._stamp_decisions()
@@ -734,12 +742,7 @@ class SchedulerService:
         if kind != op.kind or (
             fingerprint is not None and fingerprint != op.payload.get("fp")
         ):
-            raise ProtocolError(
-                409,
-                "idempotency_conflict",
-                f"idempotency key {key!r} was already used for a "
-                f"different {kind} request",
-            )
+            raise _key_conflict(key, kind)
         self.counters.dedup_hits += 1
         self._dedup.move_to_end(key)
         return stored
@@ -793,34 +796,66 @@ class SchedulerService:
         return kept
 
     def _split_dedup(
-        self, submits: List[_Op]
-    ) -> Tuple[List[_Op], List[_Op]]:
-        """Resolve keyed submits the dedup window has already seen.
+        self, batch: List[_Op]
+    ) -> Tuple[List[_Op], List[_Op], List[_Op], List[Tuple[_Op, _Op]]]:
+        """Resolve the drain's idempotency keys, in arrival order.
 
-        A hit answers from the stored outcome — the original job ids,
-        re-rendered as current records — without touching the engine:
-        exactly-once application under client retries.  A conflicting
-        key fails its op here (see :meth:`_dedup_lookup`); such ops are
-        in neither list.
+        Returns ``(fresh, replayed, others, repeats)``:
+
+        * ``fresh`` — the submits to validate and apply;
+        * ``replayed`` — submits the dedup window has already seen,
+          answered from the stored outcome (the original job ids,
+          re-rendered as current records) without touching the engine:
+          exactly-once application under client retries;
+        * ``others`` — every other op, to dispatch;
+        * ``repeats`` — ``(op, first)`` pairs where a keyed op repeats
+          the request its key was first used for earlier in this same
+          drain; ``op`` gets ``first``'s outcome once the drain is
+          applied, so it is neither journaled nor applied itself.
+
+        A key reused for a different operation or body, in an earlier
+        drain (see :meth:`_dedup_lookup`) or earlier in this one, fails
+        its op with ``409 idempotency_conflict``.  Such ops, and keyed
+        cancels answered from the window (:meth:`_cancel_dedup_hit`),
+        are answered here and are in no list.
         """
         fresh: List[_Op] = []
         replayed: List[_Op] = []
-        for op in submits:
-            try:
-                stored = self._dedup_lookup(op)
-            except ProtocolError as exc:
-                op.error = exc
-                op.done.set()
+        others: List[_Op] = []
+        repeats: List[Tuple[_Op, _Op]] = []
+        firsts: Dict[str, _Op] = {}
+        for op in batch:
+            key = op.payload.get("key") if op.kind in ("submit", "cancel") else None
+            first = firsts.get(key) if key is not None else None
+            if first is not None:
+                if (first.kind, first.payload.get("fp")) == (op.kind, op.payload.get("fp")):
+                    repeats.append((op, first))
+                else:
+                    op.error = _key_conflict(key, first.kind)
+                    op.done.set()
                 continue
-            if stored is None:
+            if op.kind == "submit":
+                try:
+                    stored = self._dedup_lookup(op)
+                except ProtocolError as exc:
+                    op.error = exc
+                    op.done.set()
+                    continue
+                if stored is not None:
+                    try:
+                        op.result = [self._record(job_id) for job_id in stored]
+                    except ProtocolError as exc:  # pragma: no cover - aged out
+                        op.error = exc
+                    replayed.append(op)
+                    continue
                 fresh.append(op)
+            elif self._cancel_dedup_hit(op):
                 continue
-            try:
-                op.result = [self._record(job_id) for job_id in stored]
-            except ProtocolError as exc:  # pragma: no cover - aged out
-                op.error = exc
-            replayed.append(op)
-        return fresh, replayed
+            else:
+                others.append(op)
+            if key is not None:
+                firsts[key] = op
+        return fresh, replayed, others, repeats
 
     def _validate_submits(
         self, submits: List[_Op], default_time: float

@@ -365,6 +365,76 @@ class TestIdempotency:
             )
 
 
+    @staticmethod
+    def _one_drain(service: SchedulerService, *calls) -> list:
+        """Start ``service`` and run ``calls`` from their own threads
+        so that they land, in order, in one inbox drain (a blocking
+        submit parks the engine while they queue).  Returns each
+        call's result, or the ProtocolError it raised."""
+        busy, gate = gate_engine(service)
+        service.start()
+        blocker = threading.Thread(
+            target=lambda: service.submit([dict(SPEC)]), daemon=True
+        )
+        blocker.start()
+        busy.wait(timeout=10.0)
+        outcomes: list = [None] * len(calls)
+
+        def run(index, call):
+            try:
+                outcomes[index] = call()
+            except ProtocolError as exc:
+                outcomes[index] = exc
+
+        threads = []
+        for index, call in enumerate(calls):
+            thread = threading.Thread(target=run, args=(index, call), daemon=True)
+            thread.start()
+            threads.append(thread)
+            wait_for_inbox(service, index + 1)
+        gate.set()
+        for thread in [blocker, *threads]:
+            thread.join(timeout=10.0)
+        return outcomes
+
+    def test_key_reuse_within_one_drain(self, tmp_path):
+        """Group commit puts several requests in one drain: the first
+        use of a key there claims it, a different request under it is
+        refused, and an identical one is answered from the first."""
+        experiment = small_config()
+        svc_config = durable_config(tmp_path, checkpoint_every=0)
+        service = SchedulerService.open(experiment, svc_config)
+        outcomes = self._one_drain(
+            service,
+            lambda: service.submit([dict(SPEC)], idempotency_key="iota"),
+            lambda: service.submit([dict(SPEC, nodes=4)], idempotency_key="iota"),
+            lambda: service.cancel(1, idempotency_key="iota"),
+            lambda: service.submit([dict(SPEC)], idempotency_key="iota"),
+        )
+        first, other_body, cancel, repeat = outcomes
+        try:
+            assert [r["nodes"] for r in first] == [1]
+            for refused in (other_body, cancel):
+                assert isinstance(refused, ProtocolError)
+                assert refused.status == 409
+                assert refused.code == "idempotency_conflict"
+            assert [r["job_id"] for r in repeat] == [r["job_id"] for r in first]
+            counters = service.metrics()["counters"]
+            assert counters["dedup_hits"] == 1
+            # The blocker's drain and this one: nothing else journaled.
+            assert counters["journal_records"] == 2
+            assert len(service.jobs()["jobs"]) == 2
+            assert service.query(1)["state"] == "running"
+        finally:
+            crash(service)
+        recovered = SchedulerService.open(experiment, svc_config)
+        with recovered:
+            (again,) = recovered.submit([dict(SPEC)], idempotency_key="iota")
+            assert again["job_id"] == first[0]["job_id"]
+            assert len(recovered.jobs()["jobs"]) == 2
+            assert recovered.query(1)["state"] == "running"
+
+
 def gate_engine(service: SchedulerService):
     """Make the engine block mid-drain until the returned gate is set.
 
