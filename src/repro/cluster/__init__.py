@@ -1,14 +1,16 @@
 """Hardware model: nodes, racks, disaggregated memory pools, fabric.
 
-The cluster is the passive substrate: it tracks which nodes are busy
-and how much pool memory is granted, enforces capacity, and answers
+The cluster is the passive substrate: nodes and racks are static
+capacity records, while the cluster tracks which nodes are idle, down
+or held by a job (as node masks, :mod:`repro.cluster.masks`) and how
+much pool memory is granted, enforces capacity, and answers
 feasibility queries.  *Choosing* nodes and pool grants is the job of
 the scheduler (:mod:`repro.sched`) and the memory allocator
 (:mod:`repro.memdis`).
 """
 
 from .spec import ClusterSpec, PoolSpec, NodeSpec
-from .node import Node, NodeState
+from .node import Node
 from .rack import Rack
 from .pool import MemoryPool
 from .fabric import Fabric, PoolReach
@@ -19,7 +21,6 @@ __all__ = [
     "PoolSpec",
     "NodeSpec",
     "Node",
-    "NodeState",
     "Rack",
     "MemoryPool",
     "Fabric",

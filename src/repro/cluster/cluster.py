@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import AllocationError
 from .fabric import Fabric
-from .masks import mask_of
-from .node import Node, NodeState
+from .masks import ids_of, mask_of
+from .node import Node
 from .pool import MemoryPool
 from .rack import Rack
 from .spec import ClusterSpec
@@ -19,10 +18,16 @@ __all__ = ["Cluster"]
 class Cluster:
     """Instantiated hardware built from a :class:`ClusterSpec`.
 
-    The cluster owns state (node ownership, pool grants) and enforces
+    The cluster owns state (node availability, pool grants) and enforces
     capacity; it performs no policy.  Node selection and local/remote
     splitting are decided by the scheduler stack and handed in as
     explicit grant maps.
+
+    :class:`Node` and :class:`Rack` records are static capacity.  Node
+    availability lives here only, in three structures that partition
+    the node ids: :attr:`free_mask`, :attr:`down_mask` and the
+    ownership map :attr:`held`.  Every mutation checks its whole
+    request against them before it changes anything.
     """
 
     def __init__(self, spec: ClusterSpec) -> None:
@@ -56,26 +61,23 @@ class Cluster:
                 "global", spec.pool.global_pool, spec.pool.global_bandwidth
             )
         self.fabric = Fabric(self)
-        # Maintained capacity indexes: the scheduler hot path asks
-        # "which nodes are free?" thousands of times per simulated
-        # second, so the free set is kept incrementally instead of
-        # re-scanned, and pool lookups are prebuilt (pool identity
-        # never changes after construction).
-        #: Every node id as a bitmask (bit *i* = node *i*).
+        # Node availability as node masks (bit *i* = node *i*, see
+        # :mod:`repro.cluster.masks`); pool lookups are prebuilt (pool
+        # identity never changes after construction).
+        #: Every node id as a bitmask.
         self.all_mask: int = (1 << len(self.nodes)) - 1
-        #: Idle node ids as a bitmask; read-only.  Every allocation,
-        #: release, failure and repair assigns a new ``int``, so
-        #: placement can recognise the live set by identity and answer
-        #: from :meth:`sorted_free_ids` instead of decoding it.
+        #: Idle node ids; read-only.
         self.free_mask: int = self.all_mask
-        # The same set as an ascending id list, edited in place by each
-        # mutation (only the changed ids move).
-        self._free_sorted: List[int] = list(range(len(self.nodes)))
+        #: Out-of-service node ids; read-only.
+        self.down_mask: int = 0
+        #: Ownership map ``{job id: (node mask, per-node local grant
+        #: MiB)}`` of every job holding nodes; read-only.
+        self.held: Dict[int, Tuple[int, int]] = {}
         #: Monotone state-change counter: bumped by every mutation that
         #: can affect availability (node ownership, node state, pool
         #: grants).  Consumers use it to validate availability caches;
-        #: direct mutation of a ``MemoryPool``/``Node`` bypasses it, so
-        #: always go through the cluster methods.
+        #: direct mutation of a ``MemoryPool`` bypasses it, so always
+        #: go through the cluster methods.
         self.version: int = 0
         # Version-batch state: within a batch (one scheduling pass)
         # the first mutation bumps the counter once and the rest are
@@ -155,20 +157,16 @@ class Cluster:
 
     @property
     def free_node_count(self) -> int:
-        return len(self._free_sorted)
+        return self.free_mask.bit_count()
 
-    def sorted_free_ids(self) -> List[int]:
-        """Idle node ids ascending: the ids of :attr:`free_mask`.
-
-        The maintained list itself, updated in place by every mutation:
-        do not mutate it, and copy it to keep a snapshot.  First-fit
-        placement on the live free set is a slice of it.
-        """
-        return self._free_sorted
-
-    def free_nodes(self) -> List[Node]:
-        """All idle nodes in node-id order (deterministic)."""
-        return [self.nodes[node_id] for node_id in self.sorted_free_ids()]
+    def owner_of(self, node_id: int) -> Optional[int]:
+        """The job holding ``node_id``, or ``None``: a scan of the
+        ownership map, for cold paths such as failure handling."""
+        bit = 1 << node_id
+        for job_id, (mask, _) in self.held.items():
+            if mask & bit:
+                return job_id
+        return None
 
     def all_pools(self) -> List[MemoryPool]:
         """Every pool, rack pools first then global (do not mutate)."""
@@ -200,6 +198,18 @@ class Cluster:
     # ------------------------------------------------------------------
     # allocation (called by the engine with scheduler-chosen grants)
     # ------------------------------------------------------------------
+    def _checked_mask(self, node_ids: List[int]) -> int:
+        """Bitmask of ``node_ids``; an id outside ``0..N-1`` or a
+        repeated id raises before anything changes."""
+        if node_ids and (min(node_ids) < 0 or max(node_ids) >= len(self.nodes)):
+            raise AllocationError(
+                f"node ids {node_ids} outside 0..{len(self.nodes) - 1}"
+            )
+        mask = mask_of(node_ids)
+        if mask.bit_count() != len(node_ids):
+            raise AllocationError(f"node ids {node_ids} repeat an id")
+        return mask
+
     def allocate_nodes(
         self,
         job_id: int,
@@ -212,30 +222,36 @@ class Cluster:
         atomic: on failure, nothing is allocated.
         """
         node_ids = list(node_ids)
-        taken: List[Node] = []
-        try:
-            for node_id in node_ids:
-                node = self.nodes[node_id]
-                node.allocate(job_id, local_grant)
-                taken.append(node)
-        except AllocationError:
-            for node in taken:
-                node.release(job_id)
-            raise
-        self.free_mask &= ~mask_of(node_ids)
-        free = self._free_sorted
-        for node_id in node_ids:
-            free.remove(node_id)
+        mask = self._checked_mask(node_ids)
+        taken = mask & ~self.free_mask
+        if taken:
+            raise AllocationError(
+                f"nodes {ids_of(taken)} are not idle, cannot allocate "
+                f"to job {job_id}"
+            )
+        if not 0 <= local_grant <= self.spec.node.local_mem:
+            raise AllocationError(
+                f"local grant {local_grant} MiB outside "
+                f"[0, {self.spec.node.local_mem}] for job {job_id}"
+            )
+        if job_id in self.held:
+            raise AllocationError(f"job {job_id} already holds nodes")
+        self.free_mask ^= mask
+        self.held[job_id] = (mask, local_grant)
         self._bump_version()
 
     def release_nodes(self, job_id: int, node_ids: Iterable[int]) -> None:
+        """Return ``node_ids`` from ``job_id``: exactly the set it holds."""
         node_ids = list(node_ids)
-        for node_id in node_ids:
-            self.nodes[node_id].release(job_id)
-        self.free_mask |= mask_of(node_ids)
-        free = self._free_sorted
-        free.extend(node_ids)
-        free.sort()  # Timsort merges the appended run in C
+        mask = self._checked_mask(node_ids)
+        held = self.held.get(job_id)
+        if held is None or held[0] != mask:
+            raise AllocationError(
+                f"job {job_id} does not hold exactly nodes {node_ids} "
+                f"(holds {ids_of(held[0]) if held else []})"
+            )
+        del self.held[job_id]
+        self.free_mask |= mask
         self._bump_version()
 
     def take_down(self, node_id: int) -> None:
@@ -244,22 +260,23 @@ class Cluster:
         The caller must release any running job first; taking down a
         busy node raises.
         """
-        node = self.nodes[node_id]
-        was_free = node.is_free
-        node.mark_down()
+        bit = self._checked_mask([node_id])
+        if bit & ~(self.free_mask | self.down_mask):
+            raise AllocationError(
+                f"node {node_id} is busy with job {self.owner_of(node_id)}; "
+                "release before taking it down"
+            )
         self._bump_version()
-        if was_free:
-            self.free_mask &= ~(1 << node_id)
-            self._free_sorted.remove(node_id)
+        self.free_mask &= ~bit
+        self.down_mask |= bit
 
     def bring_up(self, node_id: int) -> None:
-        """Return a DOWN node to service."""
-        node = self.nodes[node_id]
-        if node.state is NodeState.DOWN:
-            node.mark_up()
+        """Return a down node to service."""
+        bit = self._checked_mask([node_id])
+        if self.down_mask & bit:
             self._bump_version()
-            self.free_mask |= 1 << node_id
-            insort(self._free_sorted, node_id)
+            self.down_mask ^= bit
+            self.free_mask |= bit
 
     def allocate_pool(self, job_id: int, grants: Dict[str, int]) -> None:
         """Apply pool grants ``{pool_id: MiB}`` atomically for ``job_id``."""
@@ -294,13 +311,12 @@ class Cluster:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Cheap state snapshot for metrics sampling."""
-        free_count = len(self._free_sorted)
+        free_count = self.free_mask.bit_count()
         return {
             "free_nodes": free_count,
-            "busy_nodes": self.num_nodes - free_count
-            - sum(1 for node in self.nodes if node.state is NodeState.DOWN),
+            "busy_nodes": self.num_nodes - free_count - self.down_mask.bit_count(),
             "local_mem_granted": sum(
-                node.local_grant for node in self.nodes if not node.is_free
+                mask.bit_count() * grant for mask, grant in self.held.values()
             ),
             "pool_used": self.total_pool_used,
             "pool_capacity": self.total_pool_capacity,

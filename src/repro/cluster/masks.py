@@ -3,11 +3,11 @@
 Cluster node ids are dense ``0..N-1``, so one Python ``int`` holds any
 node set: union, intersection and difference are single big-int
 operations, and ``int.bit_count`` counts a set without decoding it.
-The cluster maintains its free set this way (:attr:`Cluster.free_mask
-<repro.cluster.cluster.Cluster.free_mask>`), the sweep cursor keeps its
-states this way, and placement policies select from masks.  Decoding
-back to ascending id lists happens only where a concrete placement is
-produced.
+The cluster keeps node availability this way (:attr:`Cluster.free_mask
+<repro.cluster.cluster.Cluster.free_mask>`, ``down_mask`` and each job's
+held mask), the sweep cursor keeps its states this way, and placement
+policies select from masks.  Decoding back to ascending id lists
+happens only where a concrete placement or a listing is produced.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import compress, islice
 from typing import Iterable, List
 
-__all__ = ["mask_of", "lowest_ids"]
+__all__ = ["mask_of", "lowest_ids", "ids_of"]
 
 #: ``bytes.translate`` table turning a binary digit string into 0/1 bytes.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -41,3 +41,8 @@ def lowest_ids(mask: int, count: int) -> List[int]:
     the 1 bytes), cut at the ``count``-th set bit."""
     bits = _digits(mask)
     return list(islice(compress(range(len(bits)), bits), count))
+
+
+def ids_of(mask: int) -> List[int]:
+    """Every id set in ``mask``, ascending."""
+    return lowest_ids(mask, mask.bit_count())

@@ -1,88 +1,22 @@
-"""Compute-node state tracking."""
+"""Compute-node capacity records."""
 
 from __future__ import annotations
 
-import enum
-from typing import Optional
+from typing import NamedTuple
 
-from ..errors import AllocationError
-
-__all__ = ["Node", "NodeState"]
+__all__ = ["Node"]
 
 
-class NodeState(enum.Enum):
-    IDLE = "idle"
-    BUSY = "busy"
-    DOWN = "down"
+class Node(NamedTuple):
+    """One exclusively scheduled compute node: its static capacity.
 
-
-class Node:
-    """One exclusively scheduled compute node.
-
-    HPC batch systems allocate whole nodes to jobs, so a node is either
-    idle or owned by exactly one job.  The node records the owning job
-    id and the local-memory grant (which may be less than capacity when
-    the job's footprint fits partially and the remainder is remote).
+    A node never changes after the cluster is built.  Whether it is
+    idle, held by a job (and with what local-memory grant) or down is
+    availability, which the :class:`~repro.cluster.cluster.Cluster`
+    keeps for all nodes at once as node masks.
     """
 
-    __slots__ = ("node_id", "rack_id", "cores", "local_mem", "state",
-                 "job_id", "local_grant")
-
-    def __init__(self, node_id: int, rack_id: int, cores: int, local_mem: int) -> None:
-        self.node_id = node_id
-        self.rack_id = rack_id
-        self.cores = cores
-        self.local_mem = local_mem  # capacity, MiB
-        self.state = NodeState.IDLE
-        self.job_id: Optional[int] = None
-        self.local_grant = 0  # MiB currently granted to the owning job
-
-    @property
-    def is_free(self) -> bool:
-        return self.state is NodeState.IDLE
-
-    def allocate(self, job_id: int, local_grant: int) -> None:
-        """Give this node to ``job_id`` with ``local_grant`` MiB local memory."""
-        if self.state is not NodeState.IDLE:
-            raise AllocationError(
-                f"node {self.node_id} is {self.state.value}, cannot allocate "
-                f"to job {job_id} (currently owned by {self.job_id})"
-            )
-        if local_grant < 0 or local_grant > self.local_mem:
-            raise AllocationError(
-                f"local grant {local_grant} MiB outside [0, {self.local_mem}] "
-                f"on node {self.node_id}"
-            )
-        self.state = NodeState.BUSY
-        self.job_id = job_id
-        self.local_grant = local_grant
-
-    def release(self, job_id: int) -> None:
-        """Return the node from ``job_id``; must match the owner."""
-        if self.state is not NodeState.BUSY or self.job_id != job_id:
-            raise AllocationError(
-                f"node {self.node_id} not held by job {job_id} "
-                f"(state={self.state.value}, owner={self.job_id})"
-            )
-        self.state = NodeState.IDLE
-        self.job_id = None
-        self.local_grant = 0
-
-    def mark_down(self) -> None:
-        """Take an idle node out of service (failure-injection support)."""
-        if self.state is NodeState.BUSY:
-            raise AllocationError(
-                f"node {self.node_id} is busy with job {self.job_id}; "
-                "release before marking down"
-            )
-        self.state = NodeState.DOWN
-
-    def mark_up(self) -> None:
-        if self.state is NodeState.DOWN:
-            self.state = NodeState.IDLE
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Node(id={self.node_id}, rack={self.rack_id}, "
-            f"state={self.state.value}, job={self.job_id})"
-        )
+    node_id: int
+    rack_id: int
+    cores: int
+    local_mem: int  # capacity, MiB

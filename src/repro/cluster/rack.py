@@ -15,7 +15,10 @@ class Rack:
 
     Rack locality matters because a rack-local pool is only reachable
     from its own nodes; placement policies that pack jobs into racks
-    keep remote memory close and leave other racks' pools free.
+    keep remote memory close and leave other racks' pools free.  Which
+    of the rack's nodes are free is cluster state: count it on the
+    rack's slice of :attr:`Cluster.free_mask
+    <repro.cluster.cluster.Cluster.free_mask>` (``Cluster.rack_slices``).
     """
 
     __slots__ = ("rack_id", "nodes", "pool")
@@ -30,15 +33,11 @@ class Rack:
         return len(self.nodes)
 
     @property
-    def free_nodes(self) -> int:
-        return sum(1 for node in self.nodes if node.is_free)
-
-    @property
     def pool_free(self) -> int:
         return self.pool.free if self.pool is not None else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Rack(id={self.rack_id}, nodes={self.num_nodes}, "
-            f"free={self.free_nodes}, pool_free={self.pool_free} MiB)"
+            f"pool_free={self.pool_free} MiB)"
         )

@@ -55,7 +55,6 @@ import math
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.node import NodeState
 from ..errors import ConfigurationError, SimulationError
 from ..memdis.ledger import MemoryLedger
 from ..sched.base import (
@@ -632,13 +631,11 @@ class SchedulerSimulation:
         repair_at = failure.time + failure.repair_time
         if repair_at <= self._sim.now:
             return  # failed and repaired entirely before the sim began
-        node = self.cluster.node(failure.node_id)
-        if node.state is NodeState.DOWN:
+        if self.cluster.down_mask >> failure.node_id & 1:
             return  # overlapping failure while already down: absorbed
-        if node.state is NodeState.BUSY:
-            victim = next(
-                job for job in self._running if job.job_id == node.job_id
-            )
+        owner = self.cluster.owner_of(failure.node_id)
+        if owner is not None:
+            victim = next(job for job in self._running if job.job_id == owner)
             end_event = self._end_events.pop(victim.job_id, None)
             if end_event is not None:
                 self._sim.cancel(end_event)

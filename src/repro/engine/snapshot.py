@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
-from ..cluster.node import NodeState
+from ..cluster.masks import ids_of
 from ..errors import SimulationError
 from ..memdis.ledger import LedgerEntry, MemoryLedger
 from ..workload.job import Job, JobState
@@ -136,11 +136,6 @@ def checkpoint_engine(sim: "SchedulerSimulation") -> Dict:
             }
         )
 
-    down_nodes = [
-        node.node_id
-        for node in sim.cluster.nodes
-        if node.state is NodeState.DOWN
-    ]
     return {
         "schema": SNAPSHOT_SCHEMA,
         "clock": sim._sim.clock_state(),
@@ -174,7 +169,7 @@ def checkpoint_engine(sim: "SchedulerSimulation") -> Dict:
             for failure in sim.failures
         ],
         "events": events,
-        "down_nodes": down_nodes,
+        "down_nodes": ids_of(sim.cluster.down_mask),
         "max_job_id": sim._max_job_id,
         "cycles": sim._cycles,
         "terminal_count": sim._terminal_count,

@@ -101,10 +101,6 @@ class FirstFitPlacement(PlacementPolicy):
     name = "first_fit"
 
     def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
-        if free_mask is cluster.free_mask:
-            # The live free set: its ids are maintained sorted already.
-            free = cluster.sorted_free_ids()
-            return free[:count] if len(free) >= count else None
         if free_mask.bit_count() < count:
             return None
         return lowest_ids(free_mask, count)

@@ -191,8 +191,6 @@ class AvailabilityProfile:
         the remaining time from ``job.start_time``."""
         self._cluster = cluster
         self._now = now
-        # The cluster's own free mask object: placement answers it from
-        # the cluster's sorted free list without decoding.
         self._base_mask: int = cluster.free_mask
         self._base_count: int = cluster.free_node_count
         self._base_pool_free: Dict[str, int] = {
@@ -780,9 +778,7 @@ class SweepCursor:
     reservations' masks.  Only a candidate whose counts pass looks up
     its mask — the state's own, else the release mask, minus the
     window claims and an EASY trial — and hands it to placement as
-    is.  At the anchor with no claim that is the cluster's own
-    ``free_mask`` object, which first-fit placement answers from the
-    cluster's sorted free list without decoding.
+    is.
 
     Exactness:
 

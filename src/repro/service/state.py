@@ -13,8 +13,9 @@ ground truth of "what the scheduler believed at the time".
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
+from ..cluster.masks import ids_of
 from .protocol import PROTOCOL_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,17 +32,28 @@ def build_state_document(
     """Assemble the state document.  Engine-thread only."""
     engine = service.engine
     cluster = service.cluster
-    nodes: List[Dict[str, Any]] = [
-        {
+    holders: Dict[int, Tuple[int, int]] = {
+        node_id: (job_id, grant)
+        for job_id, (mask, grant) in cluster.held.items()
+        for node_id in ids_of(mask)
+    }
+    nodes: List[Dict[str, Any]] = []
+    for node in cluster.nodes:
+        job_id, grant = holders.get(node.node_id, (None, 0))
+        if job_id is not None:
+            state = "busy"
+        elif cluster.down_mask >> node.node_id & 1:
+            state = "down"
+        else:
+            state = "idle"
+        nodes.append({
             "node_id": node.node_id,
             "rack_id": node.rack_id,
-            "state": node.state.value,
-            "job_id": node.job_id,
-            "local_grant_mib": node.local_grant,
+            "state": state,
+            "job_id": job_id,
+            "local_grant_mib": grant,
             "local_mem_mib": node.local_mem,
-        }
-        for node in cluster.nodes
-    ]
+        })
     pools: List[Dict[str, Any]] = []
     for rack in cluster.racks:
         if rack.pool is not None:

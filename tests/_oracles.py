@@ -96,7 +96,8 @@ class OracleProfile:
         self._cluster = cluster
         self._now = now
         self._free_now: FrozenSet[int] = frozenset(
-            node.node_id for node in cluster.free_nodes()
+            node_id for node_id in range(cluster.num_nodes)
+            if cluster.free_mask >> node_id & 1
         )
         self._pool_now: Dict[str, int] = {
             pool.pool_id: pool.free for pool in cluster.all_pools()

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import Cluster, ClusterSpec, MemoryPool, Node, NodeSpec, NodeState, PoolSpec
+from repro.cluster import Cluster, ClusterSpec, MemoryPool, Node, NodeSpec, PoolSpec
+from repro.cluster.masks import ids_of
 from repro.errors import AllocationError, ConfigurationError
 from repro.units import GiB
 
@@ -101,60 +102,91 @@ class TestSpecs:
         assert spec.pool.global_pool == 1024 * GiB
 
 
-class TestNode:
-    def test_allocate_release_cycle(self):
-        node = Node(0, 0, cores=8, local_mem=16 * GiB)
-        assert node.is_free
-        node.allocate(job_id=7, local_grant=8 * GiB)
-        assert not node.is_free
-        assert node.job_id == 7
-        assert node.local_grant == 8 * GiB
-        node.release(job_id=7)
-        assert node.is_free
-        assert node.local_grant == 0
+def _state(cluster):
+    """Everything a rejected mutation must leave untouched."""
+    return cluster.free_mask, cluster.down_mask, dict(cluster.held), cluster.version
 
-    def test_double_allocate_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        node.allocate(1, 0)
-        with pytest.raises(AllocationError):
-            node.allocate(2, 0)
 
-    def test_release_wrong_owner_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        node.allocate(1, 0)
-        with pytest.raises(AllocationError):
-            node.release(2)
+class TestNodeOwnership:
+    """Per-node ownership checks, enforced by the cluster's masks: each
+    rejection raises before any state changes."""
 
-    def test_release_idle_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        with pytest.raises(AllocationError):
-            node.release(1)
+    def test_node_is_static_capacity(self, tiny_cluster):
+        assert tiny_cluster.node(3) == Node(3, 1, 8, 16 * GiB)
 
-    def test_grant_beyond_capacity_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        with pytest.raises(AllocationError):
-            node.allocate(1, 17 * GiB)
+    def test_allocate_release_cycle(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(7, [2, 0], local_grant=8 * GiB)
+        assert tiny_cluster.held == {7: (0b0101, 8 * GiB)}
+        assert tiny_cluster.free_mask == 0b1010
+        assert tiny_cluster.owner_of(2) == 7
+        assert tiny_cluster.owner_of(1) is None
+        tiny_cluster.release_nodes(7, [0, 2])
+        assert tiny_cluster.held == {}
+        assert tiny_cluster.free_mask == tiny_cluster.all_mask
 
-    def test_negative_grant_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
+    def _rejects(self, cluster, call, *args):
+        before = _state(cluster)
         with pytest.raises(AllocationError):
-            node.allocate(1, -1)
+            call(*args)
+        assert _state(cluster) == before
 
-    def test_down_state(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        node.mark_down()
-        assert node.state is NodeState.DOWN
-        assert not node.is_free
-        with pytest.raises(AllocationError):
-            node.allocate(1, 0)
-        node.mark_up()
-        assert node.is_free
+    def test_double_allocation_rejected(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, [0], 0)
 
-    def test_busy_node_cannot_go_down(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        node.allocate(1, 0)
-        with pytest.raises(AllocationError):
-            node.mark_down()
+    def test_second_allocation_for_one_job_rejected(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [1], 0)
+
+    def test_repeated_id_rejected(self, tiny_cluster):
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [1, 1], 0)
+
+    def test_release_by_wrong_owner_rejected(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 2, [0])
+
+    def test_release_of_idle_nodes_rejected(self, tiny_cluster):
+        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 1, [0])
+
+    def test_release_of_strict_subset_rejected(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0, 1, 2], local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 1, [0, 2])
+
+    def test_grant_above_capacity_rejected(self, tiny_cluster):
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [0], 17 * GiB)
+
+    def test_negative_grant_rejected(self, tiny_cluster):
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [0], -1)
+
+    def test_down_node_cannot_be_allocated(self, tiny_cluster):
+        tiny_cluster.take_down(0)
+        assert tiny_cluster.down_mask == 0b0001
+        assert tiny_cluster.free_node_count == 3
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [0], 0)
+        tiny_cluster.bring_up(0)
+        assert tiny_cluster.down_mask == 0
+        assert tiny_cluster.free_mask == tiny_cluster.all_mask
+
+    def test_busy_node_cannot_go_down(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.take_down, 0)
+
+    def test_failed_allocation_rolls_back(self, tiny_cluster):
+        """Free ids ahead of a taken one in the request: nothing moves."""
+        tiny_cluster.allocate_nodes(1, [3], local_grant=0)
+        tiny_cluster.take_down(2)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, [0, 1, 3], 0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, [0, 1, 2], 0)
+
+    @pytest.mark.parametrize("node_id", [-1, 4])
+    def test_out_of_range_ids_rejected(self, tiny_cluster, node_id):
+        """A negative id must not wrap to the last node, nor a large one
+        escape as ``IndexError``."""
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [0, node_id], 0)
+        self._rejects(tiny_cluster, tiny_cluster.take_down, node_id)
+        self._rejects(tiny_cluster, tiny_cluster.bring_up, node_id)
+        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 1, [0, node_id])
 
 
 class TestMemoryPool:
@@ -252,8 +284,7 @@ class TestCluster:
     def test_allocate_release_nodes(self, tiny_cluster):
         tiny_cluster.allocate_nodes(1, [0, 2], local_grant=8 * GiB)
         assert tiny_cluster.free_node_count == 2
-        assert not tiny_cluster.node(0).is_free
-        assert tiny_cluster.node(1).is_free
+        assert ids_of(tiny_cluster.free_mask) == [1, 3]
         tiny_cluster.release_nodes(1, [0, 2])
         assert tiny_cluster.free_node_count == 4
 
@@ -262,13 +293,12 @@ class TestCluster:
         with pytest.raises(AllocationError):
             tiny_cluster.allocate_nodes(2, [0, 1, 2], local_grant=0)
         # Nodes 0 and 1 must have been rolled back.
-        assert tiny_cluster.node(0).is_free
-        assert tiny_cluster.node(1).is_free
+        assert ids_of(tiny_cluster.free_mask) == [0, 1, 3]
         assert tiny_cluster.free_node_count == 3
 
-    def test_free_nodes_deterministic_order(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [1], local_grant=0)
-        assert [n.node_id for n in tiny_cluster.free_nodes()] == [0, 2, 3]
+    def test_free_ids_deterministic_order(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [3, 1], local_grant=0)
+        assert ids_of(tiny_cluster.free_mask) == [0, 2]
 
     def test_allocate_pool_atomic(self, pooled_cluster):
         # rack0 pool has 64 GiB; ask rack0=50 and global=more than free.
@@ -311,39 +341,64 @@ class TestCluster:
         steps=st.integers(1, 60),
     )
     def test_free_indexes_match_recount(self, num_nodes, seed, steps):
-        """``free_mask``, ``free_node_count`` and the sorted free list
-        are maintained incrementally; after every mutation — including
-        a failing allocation that rolls back — they equal a per-node
-        recount."""
+        """``free_mask``, ``down_mask`` and the ownership map are kept
+        incrementally; after every mutation — including a failing
+        allocation that rolls back — they partition the node ids and
+        equal a recount from the test's own model."""
         rng = random.Random(seed)
         cluster = Cluster(ClusterSpec(num_nodes=num_nodes, nodes_per_rack=7))
-        running = {}
+        running = {}  # job id -> (ids, per-node local grant)
+        down = set()
         next_job = 1
 
+        def model_free():
+            held = {i for ids, _ in running.values() for i in ids}
+            return [i for i in range(num_nodes) if i not in held and i not in down]
+
         def check():
-            free = [node.node_id for node in cluster.nodes if node.is_free]
+            free = model_free()
+            held_masks = [mask for mask, _ in cluster.held.values()]
+            union = 0
+            for mask in [cluster.free_mask, cluster.down_mask, *held_masks]:
+                assert union & mask == 0
+                union |= mask
+            assert union == cluster.all_mask
             assert cluster.free_mask == sum(1 << node_id for node_id in free)
+            assert cluster.down_mask == sum(1 << node_id for node_id in down)
+            assert cluster.held == {
+                job_id: (sum(1 << i for i in ids), grant)
+                for job_id, (ids, grant) in running.items()
+            }
             assert cluster.free_node_count == len(free)
-            assert cluster.sorted_free_ids() == free
+            snap = cluster.snapshot()
+            assert snap["free_nodes"] == len(free)
+            assert snap["busy_nodes"] == sum(len(ids) for ids, _ in running.values())
+            assert snap["local_mem_granted"] == sum(
+                len(ids) * grant for ids, grant in running.values()
+            )
 
         check()
         for _ in range(steps):
-            free = [node.node_id for node in cluster.nodes if node.is_free]
-            down = [n.node_id for n in cluster.nodes if n.state is NodeState.DOWN]
+            free = model_free()
             op = rng.choice(("allocate", "release", "down", "up", "fail"))
             if op == "allocate" and free:
                 ids = rng.sample(free, rng.randint(1, len(free)))
-                cluster.allocate_nodes(next_job, ids, local_grant=0)
-                running[next_job] = ids
+                grant = rng.choice((0, GiB, cluster.spec.node.local_mem))
+                cluster.allocate_nodes(next_job, ids, local_grant=grant)
+                running[next_job] = (ids, grant)
                 next_job += 1
             elif op == "release" and running:
                 job_id = rng.choice(sorted(running))
-                ids = running.pop(job_id)
+                ids, _ = running.pop(job_id)
                 cluster.release_nodes(job_id, rng.sample(ids, len(ids)))
             elif op == "down" and free:
-                cluster.take_down(rng.choice(free))
+                node_id = rng.choice(free)
+                cluster.take_down(node_id)
+                down.add(node_id)
             elif op == "up" and down:
-                cluster.bring_up(rng.choice(down))
+                node_id = rng.choice(sorted(down))
+                cluster.bring_up(node_id)
+                down.discard(node_id)
             elif op == "fail" and len(free) < num_nodes:
                 taken = [i for i in range(num_nodes) if i not in set(free)]
                 ids = rng.sample(free, rng.randint(0, len(free)))

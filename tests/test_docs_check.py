@@ -2,7 +2,7 @@
 
 The CI docs-check step runs the script directly; these tests keep it
 honest locally — the repo's documentation must pass, and the checker
-must actually detect the two violation classes it claims to.
+must actually detect the violation classes it claims to.
 """
 
 from __future__ import annotations
@@ -59,6 +59,18 @@ class TestChecker:
         monkeypatch.setattr(module, "REPO", tmp_path)
         errors = module.check_links()
         assert errors == ["README.md: missing anchor -> #absent"]
+
+    def test_reports_missing_linked_doc(self, monkeypatch, tmp_path):
+        module = _load()
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text("# Readme\n")
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        assert module.check_linked_docs() == [
+            "perfbench/README.md: listed in LINKED_DOCS but missing"
+        ]
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "README.md").write_text("# Perf\n")
+        assert module.check_linked_docs() == []
 
     def test_detects_missing_module_docstring(self, monkeypatch, tmp_path):
         module = _load()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.audit import deep_audit
-from repro.cluster import Cluster, ClusterSpec, NodeSpec, NodeState, PoolSpec
+from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
 from repro.engine import (
     FailureEvent,
     SchedulerSimulation,

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
+from repro.cluster.masks import ids_of, lowest_ids
 from repro.sched.placement import placement_for
 from repro.units import GiB
 
@@ -79,6 +80,16 @@ def _compare(cluster, free_ids, rng, masks):
                     assert got == want, (name, count, hint)
 
 
+@settings(max_examples=200, deadline=None)
+@given(ids=st.sets(st.integers(0, 2100)), data=st.data())
+def test_lowest_ids_match_sorted(ids, data):
+    """Decoding equals a sort of the id set, at every count."""
+    want = sorted(ids)
+    count = data.draw(st.integers(0, len(want)))
+    assert lowest_ids(nodes_mask(want), count) == want[:count]
+    assert ids_of(nodes_mask(want)) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     num_nodes=st.one_of(st.just(1024), st.integers(1, 200)),
@@ -95,16 +106,15 @@ def test_select_matches_reference(num_nodes, per_rack, density, seed):
 
 @pytest.mark.parametrize("num_nodes, per_rack", [(1024, 48), (1024, 16), (13, 5)])
 def test_live_free_mask_matches_reference(num_nodes, per_rack):
-    """The cluster's own ``free_mask`` object (first fit's sorted-list
-    fast path) and an equal mask built elsewhere select alike, on an
-    uneven last rack too."""
+    """The cluster's own ``free_mask`` object and an equal mask built
+    elsewhere select alike, on an uneven last rack too."""
     rng = random.Random(num_nodes * per_rack)
     cluster = _cluster(num_nodes, per_rack, rng)
     busy = rng.sample(range(num_nodes), num_nodes - min(40, num_nodes // 2))
     cluster.allocate_nodes(7, busy, local_grant=0)
-    free_ids = cluster.sorted_free_ids()
-    assert cluster.free_mask == nodes_mask(free_ids)
-    _compare(cluster, list(free_ids), rng, [cluster.free_mask, nodes_mask(free_ids)])
+    free_ids = sorted(set(range(num_nodes)) - set(busy))
+    assert ids_of(cluster.free_mask) == free_ids
+    _compare(cluster, free_ids, rng, [cluster.free_mask, nodes_mask(free_ids)])
 
 
 def test_empty_free_set():

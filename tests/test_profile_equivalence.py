@@ -26,6 +26,7 @@ import zlib
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
+from repro.cluster.masks import ids_of
 from repro.engine.simulation import SchedulerSimulation
 from repro.memdis import GlobalPoolAllocator, HybridAllocator, RackLocalAllocator
 from repro.sched import AvailabilityProfile, Reservation
@@ -78,7 +79,7 @@ def _random_running(rng: random.Random, cluster: Cluster, now: float):
     """Occupy part of the machine with consistent running jobs."""
     running = []
     job_id = 1000
-    free = list(cluster.sorted_free_ids())
+    free = ids_of(cluster.free_mask)
     rng.shuffle(free)
     while free and len(running) < rng.randint(0, 6):
         take = min(len(free), rng.randint(1, 4))
@@ -280,7 +281,7 @@ class TestIncrementalMutation:
         # node/pool prefix instead of an empty one.
         cursor_views(new, HOUR)
 
-        free = cluster.sorted_free_ids()
+        free = ids_of(cluster.free_mask)
         if not free:
             pytest.skip("random state left no free nodes")
         take = rng.randint(1, min(3, len(free)))

@@ -23,6 +23,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
+from repro.cluster.masks import ids_of
 from repro.memdis import GlobalPoolAllocator
 from repro.sched import AvailabilityProfile, FirstFitPlacement, Reservation
 from repro.sched.placement import placement_for
@@ -437,7 +438,7 @@ class TestFoldDivergenceHunt:
         running = []
         next_id = 900
         for i in range(data.draw(st.integers(0, 3), label="initial_jobs")):
-            free = list(cluster.sorted_free_ids())
+            free = ids_of(cluster.free_mask)
             if not free:
                 break
             count = data.draw(st.integers(1, min(3, len(free))),
@@ -464,7 +465,7 @@ class TestFoldDivergenceHunt:
             if depth:
                 cursor._materialize_to(depth - 1)
             if op == "start":
-                free = list(cluster.sorted_free_ids())
+                free = ids_of(cluster.free_mask)
                 if not free:
                     continue
                 count = data.draw(st.integers(1, min(3, len(free))),

@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
+from repro.cluster.masks import ids_of
 from repro.engine.simulation import SchedulerSimulation
 from repro.sched import AvailabilityProfile
 from repro.sched.base import Scheduler, SchedulerContext, build_scheduler
@@ -58,7 +59,7 @@ def _cluster(rng: random.Random) -> Cluster:
 
 
 def _start_running_job(rng, cluster, job_id, now):
-    free = list(cluster.sorted_free_ids())
+    free = ids_of(cluster.free_mask)
     if not free:
         return None
     take = rng.randint(1, min(3, len(free)))

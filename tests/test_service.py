@@ -37,6 +37,7 @@ from repro.service.protocol import (
     job_from_spec,
     job_to_record,
 )
+from repro.service.state import build_state_document
 from repro.units import GiB
 from repro.workload.job import JobState
 
@@ -187,6 +188,28 @@ class TestOnlineEngine:
             for job in engine.jobs
         }
         assert compare_records(live, expected) == []
+
+
+class TestStateDocument:
+    def test_node_listing_entries(self):
+        """An idle, a busy and a down node, pinned field by field and in
+        key order: the listing is part of the ``/v1/state`` contract."""
+        service = build_service(small_config(), mode="replay")
+        service.engine.inject_jobs([make_job(job_id=7, nodes=2, mem=8 * GiB)])
+        service.engine.advance_to(0.0)
+        service.cluster.take_down(5)
+        nodes = build_state_document(service)["cluster"]["nodes"]
+        expected = {
+            1: {"node_id": 1, "rack_id": 0, "state": "busy", "job_id": 7,
+                "local_grant_mib": 8192, "local_mem_mib": 131072},
+            2: {"node_id": 2, "rack_id": 0, "state": "idle", "job_id": None,
+                "local_grant_mib": 0, "local_mem_mib": 131072},
+            5: {"node_id": 5, "rack_id": 0, "state": "down", "job_id": None,
+                "local_grant_mib": 0, "local_mem_mib": 131072},
+        }
+        for node_id, entry in expected.items():
+            assert json.dumps(nodes[node_id]) == json.dumps(entry)
+        assert [node["state"] for node in nodes].count("busy") == 2
 
 
 # ======================================================================

@@ -20,7 +20,7 @@ import pytest
 from repro.config import ExperimentConfig
 from repro.engine.failures import exponential_failure_trace
 from repro.engine.simulation import SchedulerSimulation
-from repro.errors import SimulationError
+from repro.errors import AllocationError, SimulationError
 from repro.service.core import default_service_config
 from repro.service.protocol import job_to_record
 from repro.sim.rng import RandomStreams
@@ -177,6 +177,32 @@ class TestRoundTrip:
             SchedulerSimulation.restore(
                 config.build_cluster(), config.build_scheduler(), {"schema": 99}
             )
+
+    @pytest.mark.parametrize(
+        "field, node_ids",
+        [("assigned_nodes", [-1]), ("down_nodes", [-1]), ("down_nodes", [32])],
+    )
+    def test_restore_rejects_out_of_range_node_ids(self, field, node_ids):
+        """A snapshot naming a node id outside the cluster is refused
+        before that id touches cluster state (a negative id must not
+        wrap around to the last node)."""
+        config = small_config(num_jobs=5)
+        engine = SchedulerSimulation(
+            config.build_cluster(), config.build_scheduler(), [], online=True
+        )
+        engine.inject_jobs([make_job(job_id=1, runtime=1000.0)])
+        engine.advance_to(0.0)
+        snapshot = json.loads(json.dumps(engine.checkpoint()))
+        if field == "assigned_nodes":
+            (running,) = [doc for doc in snapshot["jobs"] if doc["job_id"] == 1]
+            running["assigned_nodes"] = node_ids
+        else:
+            snapshot["down_nodes"] = node_ids
+        cluster = config.build_cluster()
+        with pytest.raises(AllocationError):
+            SchedulerSimulation.restore(cluster, config.build_scheduler(), snapshot)
+        assert cluster.down_mask == 0
+        assert cluster.free_mask >> 31 & 1
 
 
 class TestRngContinuation:

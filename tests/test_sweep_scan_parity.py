@@ -25,6 +25,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
+from repro.cluster.masks import ids_of
 from repro.memdis import GlobalPoolAllocator
 from repro.sched import AvailabilityProfile, FirstFitPlacement, Reservation
 from repro.units import GiB, HOUR
@@ -58,7 +59,7 @@ def _cluster(kind: str = "hybrid", num_nodes: int = 10) -> Cluster:
 
 
 def _start_job(rng, cluster, job_id, now):
-    free = list(cluster.sorted_free_ids())
+    free = ids_of(cluster.free_mask)
     if not free:
         return None
     # Up to 3 nodes on the 10-node machine, scaled with the width.
@@ -286,7 +287,7 @@ class TestCursorLifecycle:
 
     def test_apply_start_drops_cursor(self):
         cluster, _, profile, cursor = _lifecycle_world()
-        free = sorted(cluster.sorted_free_ids())[:2]
+        free = ids_of(cluster.free_mask)[:2]
         before = profile.mutation_count
         profile.apply_start(free, {}, 1500.0)
         assert profile._cursor is None

@@ -4,12 +4,14 @@
 Two cheap, dependency-free invariants:
 
 1. **Intra-repo links resolve.**  Every relative markdown link in
-   ``README.md``, ``docs/*.md``, and ``benchmarks/perf/README.md``
-   must point at an existing file or directory; fragment-only links
+   ``README.md``, ``docs/*.md``, and ``perfbench/README.md`` must
+   point at an existing file or directory; fragment-only links
    (``#section``) and ``file.md#section`` fragments must match a
    heading in the target document (GitHub slug rules, simplified).
    External links (``http(s)://``, ``mailto:``) are not touched —
-   CI must not depend on the network.
+   CI must not depend on the network.  A ``LINKED_DOCS`` entry that
+   does not exist is itself a problem, so a moved document cannot
+   drop out of the check unnoticed.
 
 2. **Module docstrings in the scheduler core.**  Every ``*.py`` under
    the ``DOCSTRING_TREES`` (``sched``, ``service``, ``audit`` and
@@ -32,7 +34,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: Markdown files whose relative links must resolve.
-LINKED_DOCS = ("README.md", "docs", "benchmarks/perf/README.md")
+LINKED_DOCS = ("README.md", "docs", "perfbench/README.md")
 
 #: Python trees whose modules must carry docstrings.
 DOCSTRING_TREES = (
@@ -68,6 +70,14 @@ def _markdown_files() -> list:
         elif path.is_file():
             files.append(path)
     return files
+
+
+def check_linked_docs() -> list:
+    return [
+        f"{entry}: listed in LINKED_DOCS but missing"
+        for entry in LINKED_DOCS
+        if not (REPO / entry).exists()
+    ]
 
 
 def check_links() -> list:
@@ -115,7 +125,7 @@ def check_module_docstrings() -> list:
 
 
 def main() -> int:
-    errors = check_links() + check_module_docstrings()
+    errors = check_linked_docs() + check_links() + check_module_docstrings()
     for error in errors:
         print(f"docs-check: {error}", file=sys.stderr)
     if errors:
