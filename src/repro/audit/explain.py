@@ -154,13 +154,13 @@ def _feasible(
     job physically start against the cluster's current state?"""
     if job.nodes > cluster.free_node_count:
         return False, BOUND_NODES
-    node_ids = placement.select(
+    node_mask = placement.select(
         cluster, cluster.free_mask, job.nodes, job.remote_per_node, None
     )
-    if node_ids is None:
+    if node_mask is None:
         return False, BOUND_POOL
     if job.remote_per_node > 0:
-        if allocator.plan(cluster, node_ids, job.remote_per_node) is None:
+        if allocator.plan(cluster, node_mask, job.remote_per_node) is None:
             return False, BOUND_POOL
     return True, BOUND_NONE
 
@@ -224,7 +224,7 @@ def explain_schedule(
             while index < len(events) and events[index][0] == time:
                 _, phase, payload = events[index]
                 if phase == _PHASE_END:
-                    cluster.release_nodes(payload.job_id, payload.assigned_nodes)
+                    cluster.release_nodes(payload.job_id)
                     cluster.release_pool(payload.job_id)
                 elif phase == _PHASE_DOWN:
                     cluster.take_down(payload)
@@ -233,7 +233,7 @@ def explain_schedule(
                 elif phase == _PHASE_START:
                     cluster.allocate_nodes(
                         payload.job_id,
-                        payload.assigned_nodes,
+                        cluster.checked_mask(payload.assigned_nodes),
                         payload.local_grant_per_node,
                     )
                     grants = {

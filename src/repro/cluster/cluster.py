@@ -27,7 +27,11 @@ class Cluster:
     availability lives here only, in three structures that partition
     the node ids: :attr:`free_mask`, :attr:`down_mask` and the
     ownership map :attr:`held`.  Every mutation checks its whole
-    request against them before it changes anything.
+    request against them before it changes anything.  Node sets come
+    in as masks: :meth:`allocate_nodes` stores placement's mask as the
+    job's held mask and :meth:`release_nodes` frees it, so neither
+    touches an id; ids from outside the scheduler enter through
+    :meth:`checked_mask`.
     """
 
     def __init__(self, spec: ClusterSpec) -> None:
@@ -198,32 +202,54 @@ class Cluster:
     # ------------------------------------------------------------------
     # allocation (called by the engine with scheduler-chosen grants)
     # ------------------------------------------------------------------
-    def _checked_mask(self, node_ids: List[int]) -> int:
-        """Bitmask of ``node_ids``; an id outside ``0..N-1`` or a
-        repeated id raises before anything changes."""
-        if node_ids and (min(node_ids) < 0 or max(node_ids) >= len(self.nodes)):
-            raise AllocationError(
-                f"node ids {node_ids} outside 0..{len(self.nodes) - 1}"
-            )
+    def checked_mask(self, node_ids: Iterable[int]) -> int:
+        """Bitmask of ``node_ids``: where ids from outside the scheduler
+        (snapshot restore, schedule replay, failure injection) become a
+        mask.  Anything but a plain ``int`` id in ``0..N-1`` (a bool, a
+        float, a string) or a repeated id raises
+        :class:`AllocationError`; nothing is changed."""
+        node_ids = list(node_ids)
+        num_nodes = len(self.nodes)
+        for node_id in node_ids:
+            if type(node_id) is not int or not 0 <= node_id < num_nodes:
+                raise AllocationError(
+                    f"node id {node_id!r} is not an integer in 0..{num_nodes - 1}"
+                )
         mask = mask_of(node_ids)
         if mask.bit_count() != len(node_ids):
             raise AllocationError(f"node ids {node_ids} repeat an id")
         return mask
 
-    def allocate_nodes(
-        self,
-        job_id: int,
-        node_ids: Iterable[int],
-        local_grant: int,
-    ) -> None:
-        """Assign ``node_ids`` exclusively to ``job_id``.
+    def rack_counts(self, mask: int) -> List[Tuple[int, int]]:
+        """``(rack id, node count)`` of every rack ``mask`` meets, in
+        rack order; only the racks between its lowest and highest node
+        are looked at."""
+        counts: List[Tuple[int, int]] = []
+        if mask:
+            per_rack = self.spec.nodes_per_rack
+            slices = self.rack_slices
+            first = ((mask & -mask).bit_length() - 1) // per_rack
+            for rack_id in range(first, (mask.bit_length() - 1) // per_rack + 1):
+                lo, width = slices[rack_id]
+                count = (mask >> lo & width).bit_count()
+                if count:
+                    counts.append((rack_id, count))
+        return counts
 
+    def allocate_nodes(self, job_id: int, node_mask: int, local_grant: int) -> None:
+        """Assign the nodes of ``node_mask`` exclusively to ``job_id``.
+
+        ``node_mask`` is placement's choice as handed on by the start
+        decision; it is stored as the job's held mask, not re-encoded.
         ``local_grant`` is the per-node local-memory grant.  The call is
         atomic: on failure, nothing is allocated.
         """
-        node_ids = list(node_ids)
-        mask = self._checked_mask(node_ids)
-        taken = mask & ~self.free_mask
+        if node_mask < 0 or node_mask >> len(self.nodes):
+            raise AllocationError(
+                f"node mask {node_mask:#x} names nodes outside "
+                f"0..{len(self.nodes) - 1}"
+            )
+        taken = node_mask & ~self.free_mask
         if taken:
             raise AllocationError(
                 f"nodes {ids_of(taken)} are not idle, cannot allocate "
@@ -236,23 +262,19 @@ class Cluster:
             )
         if job_id in self.held:
             raise AllocationError(f"job {job_id} already holds nodes")
-        self.free_mask ^= mask
-        self.held[job_id] = (mask, local_grant)
+        self.free_mask ^= node_mask
+        self.held[job_id] = (node_mask, local_grant)
         self._bump_version()
 
-    def release_nodes(self, job_id: int, node_ids: Iterable[int]) -> None:
-        """Return ``node_ids`` from ``job_id``: exactly the set it holds."""
-        node_ids = list(node_ids)
-        mask = self._checked_mask(node_ids)
-        held = self.held.get(job_id)
-        if held is None or held[0] != mask:
-            raise AllocationError(
-                f"job {job_id} does not hold exactly nodes {node_ids} "
-                f"(holds {ids_of(held[0]) if held else []})"
-            )
-        del self.held[job_id]
+    def release_nodes(self, job_id: int) -> int:
+        """Return every node ``job_id`` holds; returns the freed mask."""
+        held = self.held.pop(job_id, None)
+        if held is None:
+            raise AllocationError(f"job {job_id} holds no nodes")
+        mask = held[0]
         self.free_mask |= mask
         self._bump_version()
+        return mask
 
     def take_down(self, node_id: int) -> None:
         """Remove an idle node from service (failure injection).
@@ -260,7 +282,7 @@ class Cluster:
         The caller must release any running job first; taking down a
         busy node raises.
         """
-        bit = self._checked_mask([node_id])
+        bit = self.checked_mask([node_id])
         if bit & ~(self.free_mask | self.down_mask):
             raise AllocationError(
                 f"node {node_id} is busy with job {self.owner_of(node_id)}; "
@@ -272,7 +294,7 @@ class Cluster:
 
     def bring_up(self, node_id: int) -> None:
         """Return a down node to service."""
-        bit = self._checked_mask([node_id])
+        bit = self.checked_mask([node_id])
         if self.down_mask & bit:
             self._bump_version()
             self.down_mask ^= bit

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..cluster.masks import ids_of
 from ..errors import SimulationError
 from ..sched.base import KillPolicy, StartDecision
 from ..workload.job import Job, JobState
@@ -37,7 +38,12 @@ def kill_bound(job: Job, policy: KillPolicy) -> Optional[float]:
 
 
 def start_job(job: Job, now: float, decision: StartDecision, dilation: float) -> None:
-    """PENDING → RUNNING with the decision's grants recorded."""
+    """PENDING → RUNNING with the decision's grants recorded.
+
+    The one place a placement's node mask is decoded: the job's
+    ``assigned_nodes`` list, in placement order.  Placement, trials,
+    reservations and the cluster all work on the mask.
+    """
     if job.state is not JobState.PENDING:
         raise SimulationError(
             f"job {job.job_id} cannot start from state {job.state.value}"
@@ -46,7 +52,7 @@ def start_job(job: Job, now: float, decision: StartDecision, dilation: float) ->
         raise SimulationError(f"job {job.job_id}: negative dilation {dilation}")
     job.state = JobState.RUNNING
     job.start_time = now
-    job.assigned_nodes = list(decision.node_ids)
+    job.assigned_nodes = ids_of(decision.node_mask)
     job.local_grant_per_node = decision.split.local
     job.remote_per_node = decision.split.remote
     job.pool_grants = dict(decision.plan)

@@ -811,11 +811,11 @@ class SchedulerSimulation:
             decision.split.remote_fraction, pressure
         )
 
-        self.cluster.allocate_nodes(job.job_id, decision.node_ids, decision.split.local)
+        self.cluster.allocate_nodes(job.job_id, decision.node_mask, decision.split.local)
         try:
             self.cluster.allocate_pool(job.job_id, decision.plan)
         except Exception:
-            self.cluster.release_nodes(job.job_id, decision.node_ids)
+            self.cluster.release_nodes(job.job_id)
             raise
         if self._txn is None and self._ledger_enabled:
             self._ledger.record_grant(
@@ -886,7 +886,7 @@ class SchedulerSimulation:
 
     def _release(self, job: Job) -> None:
         version_before = self.cluster.version
-        self.cluster.release_nodes(job.job_id, job.assigned_nodes)
+        node_mask = self.cluster.release_nodes(job.job_id)
         self.cluster.release_pool(job.job_id)
         if self._ledger_enabled:
             self._ledger.record_release(self._sim.now, job.job_id)
@@ -895,5 +895,5 @@ class SchedulerSimulation:
         # availability profile in place (the version stamp proves
         # nothing else touched the cluster since the cache was taken).
         self.scheduler.notify_release(
-            self.cluster, job, self._sim.now, version_before
+            self.cluster, job, self._sim.now, version_before, node_mask
         )

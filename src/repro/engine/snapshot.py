@@ -274,14 +274,17 @@ def restore_engine(
         for doc in snapshot["ledger"]
     )
 
-    # Re-apply live grants before taking nodes down: a down node is
-    # never busy, so the two operations cannot collide.
-    for job in sim._running:
-        cluster.allocate_nodes(
-            job.job_id, job.assigned_nodes, job.local_grant_per_node
-        )
+    # Node ids become masks here.  Every id is checked (a plain int
+    # inside the machine, no repeats) before any of them touches the
+    # cluster.  Live grants are re-applied before nodes are taken down:
+    # a down node is never busy, so the two operations cannot collide.
+    held = [cluster.checked_mask(job.assigned_nodes) for job in sim._running]
+    down_nodes = snapshot["down_nodes"]
+    cluster.checked_mask(down_nodes)
+    for job, node_mask in zip(sim._running, held):
+        cluster.allocate_nodes(job.job_id, node_mask, job.local_grant_per_node)
         cluster.allocate_pool(job.job_id, job.pool_grants)
-    for node_id in snapshot["down_nodes"]:
+    for node_id in down_nodes:
         cluster.take_down(node_id)
 
     # Calendar: re-enter every live event under its original key so

@@ -1,7 +1,8 @@
 """Pool allocation policies.
 
-Given the nodes chosen for a job and its per-node remote share, an
-allocator decides *which pools* supply the memory.  Three reaches:
+Given the nodes chosen for a job — placement's node mask — and its
+per-node remote share, an allocator decides *which pools* supply the
+memory.  Three reaches:
 
 * **global** — one system-wide pool serves everything (simplest,
   maximal statistical multiplexing, but the fabric hop is longest);
@@ -18,9 +19,10 @@ applies a returned plan atomically through the cluster.  Plans map
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..cluster.cluster import Cluster
+from ..cluster.masks import chunks_of
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -32,8 +34,19 @@ __all__ = [
 ]
 
 
+def _rack_demand(cluster: Cluster, node_mask: int, remote_per_node: int) -> Dict[int, int]:
+    """``{rack id: remote MiB}`` of every rack ``node_mask`` meets, in
+    the order the racks first appear among its ids (placement order),
+    counted per rack without decoding ids."""
+    demand: Dict[int, int] = {}
+    for chunk in chunks_of(node_mask):
+        for rack_id, count in cluster.rack_counts(chunk):
+            demand[rack_id] = demand.get(rack_id, 0) + count * remote_per_node
+    return demand
+
+
 class PoolAllocator(abc.ABC):
-    """Maps (nodes, per-node remote MiB) to pool grants."""
+    """Maps (node mask, per-node remote MiB) to pool grants."""
 
     name: str = "abstract"
 
@@ -41,7 +54,7 @@ class PoolAllocator(abc.ABC):
     def plan(
         self,
         cluster: Cluster,
-        node_ids: Sequence[int],
+        node_mask: int,
         remote_per_node: int,
         free_override: Optional[Dict[str, int]] = None,
     ) -> Optional[Dict[str, int]]:
@@ -64,12 +77,12 @@ class PoolAllocator(abc.ABC):
     def feasible(
         self,
         cluster: Cluster,
-        node_ids: Sequence[int],
+        node_mask: int,
         remote_per_node: int,
         free_override: Optional[Dict[str, int]] = None,
     ) -> bool:
         """Convenience: is a plan possible for this demand?"""
-        return self.plan(cluster, node_ids, remote_per_node, free_override) is not None
+        return self.plan(cluster, node_mask, remote_per_node, free_override) is not None
 
 
 class GlobalPoolAllocator(PoolAllocator):
@@ -80,11 +93,11 @@ class GlobalPoolAllocator(PoolAllocator):
     def plan(
         self,
         cluster: Cluster,
-        node_ids: Sequence[int],
+        node_mask: int,
         remote_per_node: int,
         free_override: Optional[Dict[str, int]] = None,
     ) -> Optional[Dict[str, int]]:
-        need = remote_per_node * len(node_ids)
+        need = remote_per_node * node_mask.bit_count()
         if need == 0:
             return {}
         if cluster.global_pool is None:
@@ -102,16 +115,13 @@ class RackLocalAllocator(PoolAllocator):
     def plan(
         self,
         cluster: Cluster,
-        node_ids: Sequence[int],
+        node_mask: int,
         remote_per_node: int,
         free_override: Optional[Dict[str, int]] = None,
     ) -> Optional[Dict[str, int]]:
         if remote_per_node == 0:
             return {}
-        demand_by_rack: Dict[int, int] = {}
-        for node_id in node_ids:
-            rack_id = cluster.node(node_id).rack_id
-            demand_by_rack[rack_id] = demand_by_rack.get(rack_id, 0) + remote_per_node
+        demand_by_rack = _rack_demand(cluster, node_mask, remote_per_node)
         grants: Dict[str, int] = {}
         for rack_id, need in demand_by_rack.items():
             pool = cluster.rack(rack_id).pool
@@ -136,16 +146,13 @@ class HybridAllocator(PoolAllocator):
     def plan(
         self,
         cluster: Cluster,
-        node_ids: Sequence[int],
+        node_mask: int,
         remote_per_node: int,
         free_override: Optional[Dict[str, int]] = None,
     ) -> Optional[Dict[str, int]]:
         if remote_per_node == 0:
             return {}
-        demand_by_rack: Dict[int, int] = {}
-        for node_id in node_ids:
-            rack_id = cluster.node(node_id).rack_id
-            demand_by_rack[rack_id] = demand_by_rack.get(rack_id, 0) + remote_per_node
+        demand_by_rack = _rack_demand(cluster, node_mask, remote_per_node)
         grants: Dict[str, int] = {}
         overflow = 0
         for rack_id, need in demand_by_rack.items():

@@ -87,7 +87,7 @@ def _apply_start_like_engine(
         dilation = scheduler.penalty.dilation(
             decision.split.remote_fraction, pressure
         )
-        cluster.allocate_nodes(job.job_id, decision.node_ids, decision.split.local)
+        cluster.allocate_nodes(job.job_id, decision.node_mask, decision.split.local)
         cluster.allocate_pool(job.job_id, decision.plan)
         lifecycle.start_job(job, now, decision, dilation)
         queue.remove(job)
@@ -144,7 +144,7 @@ def _primed_state(
         dilation = scheduler.penalty.dilation(
             decision.split.remote_fraction, pressure
         )
-        cluster.allocate_nodes(job.job_id, decision.node_ids, decision.split.local)
+        cluster.allocate_nodes(job.job_id, decision.node_mask, decision.split.local)
         cluster.allocate_pool(job.job_id, decision.plan)
         lifecycle.start_job(job, 0.0, decision, dilation)
         # Stagger history: the job has been running a while already.

@@ -92,12 +92,13 @@ class BackfillStrategy(abc.ABC):
         job: Job,
         now: float,
         version_before: int,
+        node_mask: int,
     ) -> Optional[float]:
         """Fold a job completion into the cached profile, in place.
 
         Called by the engine immediately after the cluster released the
-        job's nodes and grants (``version_before`` is the cluster
-        version just before those mutations).  When the cache was
+        job's nodes (``node_mask``) and grants (``version_before`` is
+        the cluster version just before those mutations).  When the cache was
         valid at that stamp, :meth:`AvailabilityProfile.apply_release`
         patches the profile to the post-completion state — bit-
         equivalent to a fresh rebuild — and the cache is re-stamped, so
@@ -117,7 +118,7 @@ class BackfillStrategy(abc.ABC):
         if c_cluster is not cluster or c_version != version_before:
             return None
         est_end = job.start_time + sched.duration_of_running(job)
-        if c_profile.apply_release(job.assigned_nodes, job.pool_grants, est_end):
+        if c_profile.apply_release(node_mask, job.pool_grants, est_end):
             self._profile_cache = (cluster, cluster.version, c_profile)
             return est_end
         self._profile_cache = None
@@ -181,7 +182,7 @@ class BackfillStrategy(abc.ABC):
         """Track a mid-pass start on the shared profile (no rebuild)."""
         job = decision.job
         profile.apply_start(
-            decision.node_ids,
+            decision.node_mask,
             decision.plan,
             job.start_time + sched.duration_of_running(job),
         )
@@ -327,7 +328,7 @@ class EasyBackfill(BackfillStrategy):
                 job_id=job.job_id,
                 start=ctx.now,
                 end=ctx.now + dur,
-                node_ids=decision.node_ids,
+                node_mask=decision.node_mask,
                 pool_grants=tuple(sorted(decision.plan.items())),
             )
             # Bounded scan: only "can the head still start by the
@@ -531,8 +532,11 @@ class ConservativeBackfill(BackfillStrategy):
         job: Job,
         now: float,
         version_before: int,
+        node_mask: int,
     ) -> Optional[float]:
-        folded_end = super().on_release(sched, cluster, job, now, version_before)
+        folded_end = super().on_release(
+            sched, cluster, job, now, version_before, node_mask
+        )
         plan = self._plan
         if folded_end is not None and plan is not None:
             profile = plan.profile
@@ -741,7 +745,7 @@ class ConservativeBackfill(BackfillStrategy):
             if res.start <= now + _EPS:
                 decision = StartDecision(
                     job=job,
-                    node_ids=res.node_ids,
+                    node_mask=res.node_mask,
                     plan=res.plan,
                     split=split,
                 )
@@ -757,7 +761,7 @@ class ConservativeBackfill(BackfillStrategy):
                         job.job_id,
                         now,
                         now + dur,
-                        res.node_ids,
+                        res.node_mask,
                         res.pool_grants,
                     )
                     claims.append(claim)
@@ -788,7 +792,7 @@ class ConservativeBackfill(BackfillStrategy):
         for decision in started:
             job = decision.job
             est_end = job.start_time + sched.duration_of_running(job)
-            profile.apply_start(decision.node_ids, decision.plan, est_end)
+            profile.apply_start(decision.node_mask, decision.plan, est_end)
             if est_end > pass_horizon:
                 pass_horizon = est_end
         self._profile_cache = (ctx.cluster, ctx.cluster.version, profile)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster
+from ..cluster.masks import ids_of
 from ..errors import ConfigurationError
 from ..memdis.allocator import (
     GlobalPoolAllocator,
@@ -115,16 +116,25 @@ class StartDecision:
     """A concrete, immediately applicable job start."""
 
     job: Job
-    node_ids: Tuple[int, ...]
+    #: The nodes placement chose, as its mask; the cluster stores it as
+    #: the job's held mask and ids are decoded once, when the job
+    #: starts (:func:`repro.engine.lifecycle.start_job`).
+    node_mask: int
     plan: Dict[str, int]  # pool_id -> MiB
     split: MemorySplit
 
     def __post_init__(self) -> None:
-        if len(self.node_ids) != self.job.nodes:
+        count = self.node_mask.bit_count()
+        if count != self.job.nodes:
             raise ConfigurationError(
-                f"decision for job {self.job.job_id} has {len(self.node_ids)} "
+                f"decision for job {self.job.job_id} has {count} "
                 f"nodes, job requested {self.job.nodes}"
             )
+
+    @property
+    def node_ids(self) -> Tuple[int, ...]:
+        """The node ids in placement order, decoded on each call."""
+        return tuple(ids_of(self.node_mask))
 
 
 class PassTransaction:
@@ -310,21 +320,27 @@ class Scheduler:
         return self.backfill.run(ctx, self)
 
     def notify_release(
-        self, cluster: Cluster, job: Job, now: float, version_before: int
+        self,
+        cluster: Cluster,
+        job: Job,
+        now: float,
+        version_before: int,
+        node_mask: int,
     ) -> None:
         """Tell the backfill strategy a job's resources were released.
 
         The engine calls this immediately after the cluster mutations
         of a completion/kill (``version_before`` is the cluster
-        version just before them), while the job still carries its
-        grant records.  Strategies with a cross-cycle profile cache
-        fold the release in place instead of rebuilding next pass;
-        everything else ignores it.  Guarded by ``getattr`` so duck-
+        version just before them, ``node_mask`` the nodes the cluster
+        freed), while the job still carries its grant records.
+        Strategies with a cross-cycle profile cache fold the release
+        in place instead of rebuilding next pass; everything else
+        ignores it.  Guarded by ``getattr`` so duck-
         typed strategies that predate the hook keep working.
         """
         on_release = getattr(self.backfill, "on_release", None)
         if on_release is not None:
-            on_release(self, cluster, job, now, version_before)
+            on_release(self, cluster, job, now, version_before, node_mask)
 
     # ------------------------------------------------------------------
     # helpers shared by strategies
@@ -411,13 +427,13 @@ class Scheduler:
         if split.remote == 0:
             return True
         capacities = cluster.pool_capacities()
-        node_ids = self.placement.select(
+        node_mask = self.placement.select(
             cluster, cluster.all_mask, job.nodes, split.remote, capacities
         )
-        if node_ids is None:
+        if node_mask is None:
             return False
         plan = self.resolve_allocator(cluster).plan(
-            cluster, node_ids, split.remote, free_override=capacities
+            cluster, node_mask, split.remote, free_override=capacities
         )
         return plan is not None
 
@@ -432,19 +448,17 @@ class Scheduler:
         # The maintained free mask (no per-call node scan).  No
         # pool_free hint: policies fall back to live ``pool.free``,
         # which is exactly what the hint dict would have contained.
-        node_ids = self.placement.select(
+        node_mask = self.placement.select(
             cluster, cluster.free_mask, job.nodes, split.remote, None
         )
-        if node_ids is None:
+        if node_mask is None:
             return None
         plan: Optional[Dict[str, int]] = {}
         if split.remote > 0:
-            plan = self.resolve_allocator(cluster).plan(cluster, node_ids, split.remote)
+            plan = self.resolve_allocator(cluster).plan(cluster, node_mask, split.remote)
             if plan is None:
                 return None
-        decision = StartDecision(
-            job=job, node_ids=tuple(node_ids), plan=plan, split=split
-        )
+        decision = StartDecision(job=job, node_mask=node_mask, plan=plan, split=split)
         if (
             check_gate
             and not self.gate.trivially_permits

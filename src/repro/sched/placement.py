@@ -8,9 +8,14 @@ with rack-local pools, the racks a job spans determine which pools
 absorb its remote memory, so packing versus spreading moves pool
 pressure around.  Experiment T4 ablates exactly this.
 
-Policies return node-id lists in deterministic order, or ``None`` when
-they cannot produce a placement (fewer free nodes than requested).
-They never check pool capacity — that is the allocator's job — but
+Policies return the chosen nodes as a mask, or ``None`` when they
+cannot produce a placement (fewer free nodes than requested).  First
+fit's choice is the ``count`` lowest free ids (:func:`lowest_mask`);
+the rack policies OR together per-rack (spread: per-round) chunks into
+an :class:`~repro.cluster.masks.OrderedMask`, which keeps their
+non-ascending id order for the one decode at job start
+(:func:`repro.engine.lifecycle.start_job`).  Nothing here decodes ids.
+Policies never check pool capacity — that is the allocator's job — but
 pool-aware policies use the free-capacity hint for *ordering*.
 """
 
@@ -20,7 +25,7 @@ import abc
 from typing import List, Mapping, Optional, Tuple
 
 from ..cluster.cluster import Cluster
-from ..cluster.masks import lowest_ids
+from ..cluster.masks import OrderedMask, lowest_mask
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -53,45 +58,34 @@ class PlacementPolicy(abc.ABC):
         count: int,
         remote_per_node: int,
         pool_free: Optional[Mapping[str, int]] = None,
-    ) -> Optional[List[int]]:
-        """Pick ``count`` nodes from ``free_mask`` or return ``None``.
+    ) -> Optional[int]:
+        """Pick ``count`` nodes from ``free_mask``: their mask, or ``None``.
 
         ``free_mask`` is the free node set as a bitmask (bit *i* = node
-        *i*, see :mod:`repro.cluster.masks`).  ``remote_per_node`` and
+        *i*, see :mod:`repro.cluster.masks`); the result is a subset of
+        it, an :class:`~repro.cluster.masks.OrderedMask` where the
+        policy's id order is not ascending.  ``remote_per_node`` and
         ``pool_free`` are hints for pool-aware ordering; capacity
         enforcement happens in the allocator.
         """
 
     @staticmethod
-    def _rack_counts(cluster: Cluster, free_mask: int) -> List[Tuple[int, int]]:
-        """``(rack id, free count)`` of every rack with a free node, in
-        rack order, counted on each rack's slice of the mask."""
-        counts = []
-        for rack_id, (lo, width) in enumerate(cluster.rack_slices):
-            free = (free_mask >> lo & width).bit_count()
-            if free:
-                counts.append((rack_id, free))
-        return counts
-
-    @staticmethod
-    def _rack_ids(cluster: Cluster, free_mask: int, rack_id: int, take: int) -> List[int]:
-        """The ``take`` lowest free node ids of rack ``rack_id``."""
-        lo, width = cluster.rack_slices[rack_id]
-        return [lo + i for i in lowest_ids(free_mask >> lo & width, take)]
-
-    @classmethod
     def _fill_racks(
-        cls, cluster: Cluster, free_mask: int, ordered: List[Tuple[int, int]], count: int
-    ) -> Optional[List[int]]:
+        cluster: Cluster, free_mask: int, ordered: List[Tuple[int, int]], count: int
+    ) -> Optional[int]:
         """Take nodes rack by rack in ``ordered`` (``(rack id, free
         count)`` pairs), lowest ids first within a rack, until
-        ``count`` are chosen; ``None`` when no rack has a free node."""
-        chosen: List[int] = []
+        ``count`` are chosen; ``None`` when no rack has a free node.
+        Each rack's take is one chunk of the returned mask."""
+        chunks: List[int] = []
+        left = count
         for rack_id, free in ordered:
-            take = min(count - len(chosen), free)
-            chosen.extend(cls._rack_ids(cluster, free_mask, rack_id, take))
-            if len(chosen) == count:
-                return chosen
+            take = min(left, free)
+            lo, width = cluster.rack_slices[rack_id]
+            chunks.append(lowest_mask(free_mask >> lo & width, take) << lo)
+            left -= take
+            if not left:
+                return OrderedMask(chunks)
         return None
 
 
@@ -103,7 +97,7 @@ class FirstFitPlacement(PlacementPolicy):
     def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
         if free_mask.bit_count() < count:
             return None
-        return lowest_ids(free_mask, count)
+        return lowest_mask(free_mask, count)
 
 
 class RackPackPlacement(PlacementPolicy):
@@ -120,7 +114,7 @@ class RackPackPlacement(PlacementPolicy):
     def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
         if free_mask.bit_count() < count:
             return None
-        racks = self._rack_counts(cluster, free_mask)
+        racks = cluster.rack_counts(free_mask)
         # Most free nodes first => fewest racks touched; rack id ties.
         ordered = sorted(racks, key=lambda rc: (-rc[1], rc[0]))
         return self._fill_racks(cluster, free_mask, ordered, count)
@@ -141,7 +135,7 @@ class MinRemotePlacement(PlacementPolicy):
     def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
         if free_mask.bit_count() < count:
             return None
-        racks = self._rack_counts(cluster, free_mask)
+        racks = cluster.rack_counts(free_mask)
 
         def rack_pool_free(rack_id: int) -> int:
             pool = cluster.rack(rack_id).pool
@@ -172,21 +166,23 @@ class SpreadPlacement(PlacementPolicy):
         if free_mask.bit_count() < count:
             return None
         # One node per rack per round, lowest ids first, racks in id
-        # order; a rack drops out once it is exhausted.
-        queues = [
-            self._rack_ids(cluster, free_mask, rack_id, free)
-            for rack_id, free in self._rack_counts(cluster, free_mask)
-        ]
-        chosen: List[int] = []
-        depth = 0
-        while len(chosen) < count:
-            for queue in queues:
-                if depth < len(queue):
-                    chosen.append(queue[depth])
-                    if len(chosen) == count:
+        # order; a rack drops out once it is exhausted.  Racks are
+        # ascending id ranges, so each round is one ascending chunk.
+        rest = [free_mask & width << lo for lo, width in cluster.rack_slices]
+        chunks: List[int] = []
+        left = count
+        while left:
+            chunk = 0
+            for i, bits in enumerate(rest):
+                if bits:
+                    low = bits & -bits
+                    rest[i] = bits ^ low
+                    chunk |= low
+                    left -= 1
+                    if not left:
                         break
-            depth += 1
-        return chosen
+            chunks.append(chunk)
+        return OrderedMask(chunks)
 
 
 _POLICIES = {

@@ -11,13 +11,15 @@ currently known:
   over its ``[start, end)`` window.
 
 The profile is exact at node granularity — reservations hold concrete
-node ids, not just counts — because rack-local pools make placement
+nodes, not just counts — because rack-local pools make placement
 identity matter: 16 free nodes spread over 4 racks cannot use a single
 rack's pool the way 16 nodes in one rack can.
 
 Node sets are ``int`` bitmasks throughout (bit *i* = node *i*, see
 :mod:`repro.cluster.masks`): the profile starts from the cluster's
-``free_mask`` and hands masks straight to the placement policy.
+``free_mask``, hands masks straight to the placement policy, and keeps
+the mask placement returns as the reservation's node set.  No scan
+decodes an id; ids are decoded when a job starts.
 
 Implementation: a sorted release timeline with a cumulative sweep —
 free-node masks, pool levels, and released-node counts per
@@ -83,11 +85,11 @@ after *now*; the classic "expected to end any moment" convention.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..cluster.masks import mask_of as _mask_of
+from ..cluster.masks import ids_of, mask_of as _mask_of
 from ..workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,28 +145,21 @@ class Reservation:
     job_id: int
     start: float
     end: float
-    node_ids: Tuple[int, ...]
+    #: The nodes placement chose, as its mask (an
+    #: :class:`~repro.cluster.masks.OrderedMask` where the policy's id
+    #: order is not ascending).  Equality compares the mask only.
+    node_mask: int
     pool_grants: Tuple[Tuple[str, int], ...]  # sorted (pool_id, MiB)
-    #: Bitmask of ``node_ids``, computed once by :func:`_node_mask` —
-    #: at the reservation's first registration, not at creation (most
-    #: scan results are never registered).  Derived, so it takes no
-    #: part in equality, hashing or repr.
-    node_mask: Optional[int] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+
+    @property
+    def node_ids(self) -> Tuple[int, ...]:
+        """The node ids in placement order, decoded on each call (for
+        reports and tests; the scheduler itself never needs them)."""
+        return tuple(ids_of(self.node_mask))
 
     @property
     def plan(self) -> Dict[str, int]:
         return dict(self.pool_grants)
-
-
-def _node_mask(res: Reservation) -> int:
-    """``res.node_mask``, computed and stored on first use."""
-    mask = res.node_mask
-    if mask is None:
-        mask = _mask_of(res.node_ids)
-        object.__setattr__(res, "node_mask", mask)  # frozen: derived cache
-    return mask
 
 
 class AvailabilityProfile:
@@ -222,8 +217,10 @@ class AvailabilityProfile:
         # cumulative states are built on demand, cached, and patched
         # by the folds (see _release_mask / _release_pool).  Each
         # release's own mask is kept once computed, aligned with the
-        # timeline.
-        self._releases = releases  # sorted (time, node_ids, grants)
+        # timeline: a built entry encodes its running job's ids on
+        # first use (the only ids the profile encodes), a folded start
+        # arrives with its mask and keeps no ids (``None``).
+        self._releases = releases  # sorted (time, node_ids | None, grants)
         self._rel_times: List[float] = [item[0] for item in releases]
         self._rel_cum_count: List[int] = list(
             accumulate(len(item[1]) for item in releases)
@@ -396,9 +393,8 @@ class AvailabilityProfile:
         """Register a promised window.
 
         Each index insert is located by bisect but is an O(n) list
-        insert.  The reservation's node mask costs O(nodes) at its
-        first registration only: it is kept on the object, so a
-        reservation re-added after a truncation reuses it.
+        insert.  The reservation carries its node mask from placement,
+        so registering it encodes nothing.
 
         Insertion order is semantic: the pool sweep's tie order at
         equal instants follows it, so two profiles holding equal
@@ -411,7 +407,7 @@ class AvailabilityProfile:
         self._reservations.append(reservation)
         insort(self._res_bounds, reservation.start)
         insort(self._res_bounds, reservation.end)
-        mask = _node_mask(reservation)
+        mask = reservation.node_mask
         pos = bisect_right(self._res_start_times, reservation.start)
         self._res_start_times.insert(pos, reservation.start)
         self._res_start_refs.insert(pos, reservation)
@@ -531,25 +527,24 @@ class AvailabilityProfile:
     # ------------------------------------------------------------------
     def apply_start(
         self,
-        node_ids: Iterable[int],
+        node_mask: int,
         pool_grants: Dict[str, int],
         est_end: float,
     ) -> None:
         """Fold a job started at *now* into the profile, in place.
 
         Equivalent to rebuilding the profile from the post-start
-        cluster state: the nodes and grants leave the base availability
-        and come back as a release at ``est_end``.  The cached sweep is
-        patched, not rebuilt — entries strictly after the insertion
-        point are unchanged (the subtraction and the new release cancel
-        exactly), so only the prefix is rewritten.
+        cluster state: the nodes of ``node_mask`` (the start decision's
+        mask) and the grants leave the base availability and come back
+        as a release at ``est_end``.  The cached sweep is patched, not
+        rebuilt — entries strictly after the insertion point are
+        unchanged (the subtraction and the new release cancel exactly),
+        so only the prefix is rewritten.
         """
         if est_end <= self._now:
             est_end = self._now + _OVERRUN_GRACE
             self._has_clamped_release = True
-        node_ids = tuple(node_ids)
-        mask = _mask_of(node_ids)
-        count = len(node_ids)
+        count = node_mask.bit_count()
         grants = dict(pool_grants)
         pos = bisect_right(self._rel_times, est_end)
         # Patch the materialized prefix: the state *at* the new release
@@ -562,7 +557,7 @@ class AvailabilityProfile:
         cum_mask = self._rel_cum_mask
         if pos <= len(cum_mask):
             cum_mask.insert(pos, cum_mask[pos - 1] if pos else self._base_mask)
-        keep = ~mask
+        keep = ~node_mask
         for i in range(min(pos, len(cum_mask))):
             cum_mask[i] &= keep
         self._base_mask &= keep
@@ -575,8 +570,9 @@ class AvailabilityProfile:
                 for pool_id, amount in grants.items():
                     pool_entry[pool_id] = pool_entry.get(pool_id, 0) - amount
         self._rel_times.insert(pos, est_end)
-        self._releases.insert(pos, (est_end, node_ids, grants))
-        self._rel_masks.insert(pos, mask)
+        # The mask is known, so the entry needs no ids (see _release_mask).
+        self._releases.insert(pos, (est_end, None, grants))
+        self._rel_masks.insert(pos, node_mask)
         released = self._rel_cum_count[pos - 1] if pos else 0
         self._rel_cum_count.insert(pos, released + count)
         for i in range(pos + 1, len(self._rel_cum_count)):
@@ -590,19 +586,20 @@ class AvailabilityProfile:
 
     def apply_release(
         self,
-        node_ids: Iterable[int],
+        node_mask: int,
         pool_grants: Dict[str, int],
         est_end: float,
     ) -> bool:
         """Fold a job *completion* into the profile, in place.
 
         The exact inverse of :meth:`apply_start`: the job's release
-        entry (located by its estimated end plus node set) leaves the
-        timeline, and its nodes and grants join the base availability.
-        Materialized sweep entries strictly before the removed entry
-        gain the resources; entries after it are untouched (they
-        already included the release).  Equivalent to rebuilding the
-        profile from the post-completion cluster state.
+        entry (located by its estimated end plus node mask — the mask
+        the cluster freed) leaves the timeline, and its nodes and
+        grants join the base availability.  Materialized sweep entries
+        strictly before the removed entry gain the resources; entries
+        after it are untouched (they already included the release).
+        Equivalent to rebuilding the profile from the post-completion
+        cluster state.
 
         Returns False — leaving the profile untouched — when the fold
         cannot be represented: a clamped (overrun) release embeds the
@@ -611,25 +608,22 @@ class AvailabilityProfile:
         """
         if self._has_clamped_release:
             return False
-        node_tuple = tuple(node_ids)
         grants = dict(pool_grants)
         rel_times = self._rel_times
+        rel_masks = self._rel_masks
         pos = bisect_left(rel_times, est_end)
         total = len(rel_times)
         while pos < total and rel_times[pos] == est_end:
             _, entry_nodes, entry_grants = self._releases[pos]
-            if (
-                entry_nodes is node_ids or tuple(entry_nodes) == node_tuple
-            ) and entry_grants == grants:
+            mask = rel_masks[pos]
+            if mask is None:
+                mask = rel_masks[pos] = _mask_of(entry_nodes)
+            if mask == node_mask and entry_grants == grants:
                 break
             pos += 1
         else:
             return False
-        entry_grants = self._releases[pos][2]
-        mask = self._rel_masks[pos]
-        if mask is None:
-            mask = _mask_of(node_tuple)
-        count = len(node_tuple)
+        count = mask.bit_count()
         # Entries before the removed one gain the resources; later ones
         # already held them.
         cum_mask = self._rel_cum_mask
@@ -1050,7 +1044,7 @@ class SweepCursor:
         trial_const: Optional[int] = None
         extra: Optional[float] = None
         if trial is not None:
-            trial_mask = _node_mask(trial)
+            trial_mask = trial.node_mask
             trial_end_eps = trial.end - _EPS
             # The trial's end is a breakpoint add_reservation would
             # have put on the grid; interleave it without touching the
@@ -1211,16 +1205,16 @@ class SweepCursor:
             # windowed pool view below is unconsumed, so skip building
             # it.  Decision-invisible — ``select`` with ``None`` is
             # defined identical to ``select`` with an unread hint.
-            node_ids = placement.select(
+            node_mask = placement.select(
                 p._cluster, free, job.nodes, remote_per_node, None
             )
-            if node_ids is None:
+            if node_mask is None:
                 return None
             return Reservation(
                 job_id=job.job_id,
                 start=t,
                 end=end,
-                node_ids=tuple(node_ids),
+                node_mask=node_mask,
                 pool_grants=(),
             )
         reservations = p._reservations
@@ -1283,16 +1277,16 @@ class SweepCursor:
                     )
             if events:
                 p._apply_pool_events(pool, pool_min, events)
-        node_ids = placement.select(
+        node_mask = placement.select(
             p._cluster, free, job.nodes, remote_per_node, pool_min
         )
-        if node_ids is None:
+        if node_mask is None:
             return None
         if not memory_aware or remote_per_node == 0:
             plan: Optional[Dict[str, int]] = {}
         else:
             plan = allocator.plan(
-                p._cluster, node_ids, remote_per_node, free_override=pool_min
+                p._cluster, node_mask, remote_per_node, free_override=pool_min
             )
             if plan is None:
                 return None
@@ -1300,6 +1294,6 @@ class SweepCursor:
             job_id=job.job_id,
             start=t,
             end=end,
-            node_ids=tuple(node_ids),
+            node_mask=node_mask,
             pool_grants=tuple(sorted(plan.items())) if plan else (),
         )

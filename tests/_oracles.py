@@ -66,6 +66,20 @@ def nodes_mask(node_ids: Iterable[int]) -> int:
     return sum(1 << i for i in set(node_ids))
 
 
+def lowest_bits(mask: int, count: int) -> int:
+    """The ``count`` lowest set bits of ``mask``, peeled one bit at a
+    time from bit 0 upward — the reference for
+    :func:`repro.cluster.masks.lowest_mask`."""
+    out = 0
+    bit = 0
+    while count:
+        if mask >> bit & 1:
+            out |= 1 << bit
+            count -= 1
+        bit += 1
+    return out
+
+
 def cursor_free_nodes(cursor, j: int) -> FrozenSet[int]:
     """Free node ids of a sweep cursor's materialized state ``j``,
     decoded with :func:`mask_nodes`: its free-node mask, or where the
@@ -220,17 +234,17 @@ class OracleProfile:
             free, pool_min = self.window_free(t, duration)
             if len(free) < job.nodes:
                 continue
-            node_ids = placement.select(
+            node_mask = placement.select(
                 self._cluster, nodes_mask(free), job.nodes, remote_per_node,
                 pool_min,
             )
-            if node_ids is None:
+            if node_mask is None:
                 continue
             if not memory_aware or remote_per_node == 0:
                 plan: Optional[Dict[str, int]] = {}
             else:
                 plan = allocator.plan(
-                    self._cluster, node_ids, remote_per_node,
+                    self._cluster, node_mask, remote_per_node,
                     free_override=pool_min,
                 )
                 if plan is None:
@@ -239,7 +253,7 @@ class OracleProfile:
                 job_id=job.job_id,
                 start=t,
                 end=t + duration,
-                node_ids=tuple(node_ids),
+                node_mask=node_mask,
                 pool_grants=tuple(sorted((plan or {}).items())),
             )
         return None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, MemoryPool, Node, NodeSpec, PoolSpec
-from repro.cluster.masks import ids_of
+from repro.cluster.masks import ids_of, mask_of
 from repro.errors import AllocationError, ConfigurationError
 from repro.units import GiB
 
@@ -115,12 +115,12 @@ class TestNodeOwnership:
         assert tiny_cluster.node(3) == Node(3, 1, 8, 16 * GiB)
 
     def test_allocate_release_cycle(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(7, [2, 0], local_grant=8 * GiB)
+        tiny_cluster.allocate_nodes(7, 0b0101, local_grant=8 * GiB)
         assert tiny_cluster.held == {7: (0b0101, 8 * GiB)}
         assert tiny_cluster.free_mask == 0b1010
         assert tiny_cluster.owner_of(2) == 7
         assert tiny_cluster.owner_of(1) is None
-        tiny_cluster.release_nodes(7, [0, 2])
+        assert tiny_cluster.release_nodes(7) == 0b0101
         assert tiny_cluster.held == {}
         assert tiny_cluster.free_mask == tiny_cluster.all_mask
 
@@ -131,62 +131,73 @@ class TestNodeOwnership:
         assert _state(cluster) == before
 
     def test_double_allocation_rejected(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, [0], 0)
+        tiny_cluster.allocate_nodes(1, 0b0001, local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, 0b0001, 0)
 
     def test_second_allocation_for_one_job_rejected(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [1], 0)
+        tiny_cluster.allocate_nodes(1, 0b0001, local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, 0b0010, 0)
 
     def test_repeated_id_rejected(self, tiny_cluster):
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [1, 1], 0)
+        self._rejects(tiny_cluster, tiny_cluster.checked_mask, [1, 1])
 
     def test_release_by_wrong_owner_rejected(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
-        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 2, [0])
+        tiny_cluster.allocate_nodes(1, 0b0001, local_grant=0)
+        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 2)
 
     def test_release_of_idle_nodes_rejected(self, tiny_cluster):
-        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 1, [0])
+        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 1)
 
-    def test_release_of_strict_subset_rejected(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [0, 1, 2], local_grant=0)
-        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 1, [0, 2])
+    def test_release_frees_exactly_the_held_mask(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, 0b0111, local_grant=0)
+        tiny_cluster.allocate_nodes(2, 0b1000, local_grant=0)
+        assert tiny_cluster.release_nodes(1) == 0b0111
+        assert tiny_cluster.free_mask == 0b0111
+        assert tiny_cluster.held == {2: (0b1000, 0)}
 
     def test_grant_above_capacity_rejected(self, tiny_cluster):
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [0], 17 * GiB)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, 0b0001, 17 * GiB)
 
     def test_negative_grant_rejected(self, tiny_cluster):
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [0], -1)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, 0b0001, -1)
 
     def test_down_node_cannot_be_allocated(self, tiny_cluster):
         tiny_cluster.take_down(0)
         assert tiny_cluster.down_mask == 0b0001
         assert tiny_cluster.free_node_count == 3
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [0], 0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, 0b0001, 0)
         tiny_cluster.bring_up(0)
         assert tiny_cluster.down_mask == 0
         assert tiny_cluster.free_mask == tiny_cluster.all_mask
 
     def test_busy_node_cannot_go_down(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
+        tiny_cluster.allocate_nodes(1, 0b0001, local_grant=0)
         self._rejects(tiny_cluster, tiny_cluster.take_down, 0)
 
     def test_failed_allocation_rolls_back(self, tiny_cluster):
         """Free ids ahead of a taken one in the request: nothing moves."""
-        tiny_cluster.allocate_nodes(1, [3], local_grant=0)
+        tiny_cluster.allocate_nodes(1, 0b1000, local_grant=0)
         tiny_cluster.take_down(2)
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, [0, 1, 3], 0)
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, [0, 1, 2], 0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, 0b1011, 0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 2, 0b0111, 0)
 
     @pytest.mark.parametrize("node_id", [-1, 4])
     def test_out_of_range_ids_rejected(self, tiny_cluster, node_id):
         """A negative id must not wrap to the last node, nor a large one
-        escape as ``IndexError``."""
-        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, [0, node_id], 0)
+        escape as ``IndexError``; a mask reaching past the last node or
+        a negative mask is refused the same way."""
+        self._rejects(tiny_cluster, tiny_cluster.checked_mask, [0, node_id])
         self._rejects(tiny_cluster, tiny_cluster.take_down, node_id)
         self._rejects(tiny_cluster, tiny_cluster.bring_up, node_id)
-        tiny_cluster.allocate_nodes(1, [0], local_grant=0)
-        self._rejects(tiny_cluster, tiny_cluster.release_nodes, 1, [0, node_id])
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, 1 << 4 | 1, 0)
+        self._rejects(tiny_cluster, tiny_cluster.allocate_nodes, 1, -1, 0)
+
+    @pytest.mark.parametrize("node_id", [1.5, "3", True, None])
+    def test_non_integer_ids_rejected(self, tiny_cluster, node_id):
+        """Only a plain ``int`` is a node id: a bool is not node 1."""
+        self._rejects(tiny_cluster, tiny_cluster.checked_mask, [0, node_id])
+        self._rejects(tiny_cluster, tiny_cluster.take_down, node_id)
+        self._rejects(tiny_cluster, tiny_cluster.bring_up, node_id)
 
 
 class TestMemoryPool:
@@ -282,22 +293,22 @@ class TestCluster:
         assert cluster.node(9).rack_id == 2
 
     def test_allocate_release_nodes(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [0, 2], local_grant=8 * GiB)
+        tiny_cluster.allocate_nodes(1, 0b0101, local_grant=8 * GiB)
         assert tiny_cluster.free_node_count == 2
         assert ids_of(tiny_cluster.free_mask) == [1, 3]
-        tiny_cluster.release_nodes(1, [0, 2])
+        tiny_cluster.release_nodes(1)
         assert tiny_cluster.free_node_count == 4
 
     def test_allocate_nodes_atomic_on_failure(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [2], local_grant=0)
+        tiny_cluster.allocate_nodes(1, 0b0100, local_grant=0)
         with pytest.raises(AllocationError):
-            tiny_cluster.allocate_nodes(2, [0, 1, 2], local_grant=0)
+            tiny_cluster.allocate_nodes(2, 0b0111, local_grant=0)
         # Nodes 0 and 1 must have been rolled back.
         assert ids_of(tiny_cluster.free_mask) == [0, 1, 3]
         assert tiny_cluster.free_node_count == 3
 
     def test_free_ids_deterministic_order(self, tiny_cluster):
-        tiny_cluster.allocate_nodes(1, [3, 1], local_grant=0)
+        tiny_cluster.allocate_nodes(1, 0b1010, local_grant=0)
         assert ids_of(tiny_cluster.free_mask) == [0, 2]
 
     def test_allocate_pool_atomic(self, pooled_cluster):
@@ -320,7 +331,7 @@ class TestCluster:
             pooled_cluster.pool_by_id("rack99")
 
     def test_snapshot(self, pooled_cluster):
-        pooled_cluster.allocate_nodes(1, [0, 1], local_grant=4 * GiB)
+        pooled_cluster.allocate_nodes(1, 0b0011, local_grant=4 * GiB)
         pooled_cluster.allocate_pool(1, {"rack0": 8 * GiB})
         snap = pooled_cluster.snapshot()
         assert snap["free_nodes"] == 6
@@ -384,13 +395,13 @@ class TestCluster:
             if op == "allocate" and free:
                 ids = rng.sample(free, rng.randint(1, len(free)))
                 grant = rng.choice((0, GiB, cluster.spec.node.local_mem))
-                cluster.allocate_nodes(next_job, ids, local_grant=grant)
+                cluster.allocate_nodes(next_job, mask_of(ids), local_grant=grant)
                 running[next_job] = (ids, grant)
                 next_job += 1
             elif op == "release" and running:
                 job_id = rng.choice(sorted(running))
                 ids, _ = running.pop(job_id)
-                cluster.release_nodes(job_id, rng.sample(ids, len(ids)))
+                assert cluster.release_nodes(job_id) == mask_of(ids)
             elif op == "down" and free:
                 node_id = rng.choice(free)
                 cluster.take_down(node_id)
@@ -404,7 +415,7 @@ class TestCluster:
                 ids = rng.sample(free, rng.randint(0, len(free)))
                 ids.insert(rng.randint(0, len(ids)), rng.choice(taken))
                 with pytest.raises(AllocationError):
-                    cluster.allocate_nodes(next_job, ids, local_grant=0)
+                    cluster.allocate_nodes(next_job, mask_of(ids), local_grant=0)
             check()
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster.masks import OrderedMask, mask_of
 from repro.errors import AllocationError, ConfigurationError
 from repro.memdis import (
     ContentionPenalty,
@@ -91,62 +92,72 @@ class TestAllocators:
 
     def test_zero_remote_trivial(self, pooled_cluster):
         for name in ("global", "rack", "hybrid"):
-            assert allocator_for(name).plan(pooled_cluster, [0, 1], 0) == {}
+            assert allocator_for(name).plan(pooled_cluster, mask_of([0, 1]), 0) == {}
 
     def test_global_allocator(self, pooled_cluster):
-        plan = GlobalPoolAllocator().plan(pooled_cluster, [0, 4], 8 * GiB)
+        plan = GlobalPoolAllocator().plan(pooled_cluster, mask_of([0, 4]), 8 * GiB)
         assert plan == {"global": 16 * GiB}
 
     def test_global_allocator_exhausted(self, pooled_cluster):
         pooled_cluster.global_pool.allocate(99, 120 * GiB)
-        plan = GlobalPoolAllocator().plan(pooled_cluster, [0, 4], 8 * GiB)
+        plan = GlobalPoolAllocator().plan(pooled_cluster, mask_of([0, 4]), 8 * GiB)
         assert plan is None
 
     def test_global_allocator_no_pool(self, tiny_cluster):
-        assert GlobalPoolAllocator().plan(tiny_cluster, [0], 1) is None
+        assert GlobalPoolAllocator().plan(tiny_cluster, mask_of([0]), 1) is None
 
     def test_rack_allocator_splits_by_rack(self, pooled_cluster):
-        plan = RackLocalAllocator().plan(pooled_cluster, [0, 1, 4], 8 * GiB)
+        plan = RackLocalAllocator().plan(pooled_cluster, mask_of([0, 1, 4]), 8 * GiB)
         assert plan == {"rack0": 16 * GiB, "rack1": 8 * GiB}
 
     def test_rack_allocator_one_rack_short(self, pooled_cluster):
         pooled_cluster.rack(1).pool.allocate(99, 60 * GiB)
-        plan = RackLocalAllocator().plan(pooled_cluster, [0, 4], 8 * GiB)
+        plan = RackLocalAllocator().plan(pooled_cluster, mask_of([0, 4]), 8 * GiB)
         assert plan is None  # rack1 has only 4 GiB free
 
     def test_hybrid_prefers_rack(self, pooled_cluster):
-        plan = HybridAllocator().plan(pooled_cluster, [0, 1], 8 * GiB)
+        plan = HybridAllocator().plan(pooled_cluster, mask_of([0, 1]), 8 * GiB)
         assert plan == {"rack0": 16 * GiB}
 
     def test_hybrid_overflows_to_global(self, pooled_cluster):
         # rack0 pool = 64 GiB; demand 2 nodes × 40 GiB = 80 GiB.
-        plan = HybridAllocator().plan(pooled_cluster, [0, 1], 40 * GiB)
+        plan = HybridAllocator().plan(pooled_cluster, mask_of([0, 1]), 40 * GiB)
         assert plan == {"rack0": 64 * GiB, "global": 16 * GiB}
 
     def test_hybrid_infeasible_when_both_short(self, pooled_cluster):
         pooled_cluster.global_pool.allocate(99, 127 * GiB)
-        plan = HybridAllocator().plan(pooled_cluster, [0, 1], 40 * GiB)
+        plan = HybridAllocator().plan(pooled_cluster, mask_of([0, 1]), 40 * GiB)
         assert plan is None
 
     def test_free_override_feasibility(self, pooled_cluster):
         """Reservations evaluate against hypothetical future free space."""
         pooled_cluster.global_pool.allocate(99, 128 * GiB)  # pool now full
         alloc = GlobalPoolAllocator()
-        assert alloc.plan(pooled_cluster, [0], 4 * GiB) is None
+        assert alloc.plan(pooled_cluster, mask_of([0]), 4 * GiB) is None
         # But at shadow time the 128 GiB will be back:
         plan = alloc.plan(
-            pooled_cluster, [0], 4 * GiB, free_override={"global": 128 * GiB}
+            pooled_cluster, mask_of([0]), 4 * GiB, free_override={"global": 128 * GiB}
         )
         assert plan == {"global": 4 * GiB}
 
+    def test_rack_grants_follow_placement_order(self, pooled_cluster):
+        """Racks enter the plan in the order placement's ids meet them,
+        as they did when plans were built from id lists."""
+        rack1_first = OrderedMask([mask_of([4, 5]), mask_of([0])])
+        for allocator in (RackLocalAllocator(), HybridAllocator()):
+            plan = allocator.plan(pooled_cluster, rack1_first, 8 * GiB)
+            assert list(plan.items()) == [("rack1", 16 * GiB), ("rack0", 8 * GiB)]
+            plan = allocator.plan(pooled_cluster, mask_of([0, 4, 5]), 8 * GiB)
+            assert list(plan) == ["rack0", "rack1"]
+
     def test_plans_do_not_mutate_state(self, pooled_cluster):
         before = pooled_cluster.total_pool_used
-        HybridAllocator().plan(pooled_cluster, [0, 1, 4], 30 * GiB)
+        HybridAllocator().plan(pooled_cluster, mask_of([0, 1, 4]), 30 * GiB)
         assert pooled_cluster.total_pool_used == before
 
     def test_plan_totals_match_demand(self, pooled_cluster):
         for name in ("global", "rack", "hybrid"):
-            plan = allocator_for(name).plan(pooled_cluster, [0, 1, 4, 5], 4 * GiB)
+            plan = allocator_for(name).plan(pooled_cluster, mask_of([0, 1, 4, 5]), 4 * GiB)
             assert plan is not None
             assert sum(plan.values()) == 4 * 4 * GiB
 

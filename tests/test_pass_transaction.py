@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
+from repro.cluster.masks import mask_of
 from repro.engine.failures import FailureEvent
 from repro.engine.simulation import SchedulerSimulation
 from repro.errors import AllocationError
@@ -353,12 +354,12 @@ class TestTransactionPieces:
         cluster = Cluster(_spec("thin-global"))
         before = cluster.version
         cluster.begin_version_batch()
-        cluster.allocate_nodes(1, [0, 1], 4 * GiB)
+        cluster.allocate_nodes(1, mask_of([0, 1]), 4 * GiB)
         cluster.allocate_pool(1, {"global": 128})
-        cluster.allocate_nodes(2, [2], 4 * GiB)
+        cluster.allocate_nodes(2, mask_of([2]), 4 * GiB)
         cluster.end_version_batch()
         assert cluster.version == before + 1
-        cluster.release_nodes(1, [0, 1])  # outside a batch: bumps again
+        cluster.release_nodes(1)  # outside a batch: bumps again
         assert cluster.version == before + 2
 
     def test_ledger_batch_matches_sequential(self):

@@ -1,28 +1,34 @@
 """Bitmask placement against the set-based reference bodies.
 
-Placement policies select from an ``int`` node mask.  The golden
-digests all run ``first_fit``, and ``OracleProfile`` calls the
-production placement, so neither pins the rack-aware policies.  This
-suite compares every policy's ``select`` with its reference body in
-``tests/_oracles.py`` (the implementation from when placement consumed
-``frozenset``s) on random free sets over random rack layouts, every
-count from 0 to one past the free count (sampled on wide sets), and
-``min_remote`` with and without a pool hint.
+Placement policies select from an ``int`` node mask and return the
+chosen nodes as a mask.  The golden digests all run ``first_fit``, and
+``OracleProfile`` calls the production placement, so neither pins the
+rack-aware policies.  This suite compares every policy's ``select``
+with its reference body in ``tests/_oracles.py`` (the implementation
+from when placement consumed and returned id collections) on random
+free sets over random rack layouts, every count from 0 to one past the
+free count (sampled on wide sets), and ``min_remote`` with and without
+a pool hint: the returned mask must be the reference's node set, and
+its decode the reference's id list in order (``rack_pack``,
+``min_remote`` and ``spread`` are not ascending).  ``lowest_mask``, the
+first-fit cut, is checked against a bit-by-bit oracle.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.cluster.masks import ids_of, lowest_ids
+from repro.cluster.masks import OrderedMask, ids_of, lowest_mask
 from repro.sched.placement import placement_for
 from repro.units import GiB
 
-from ._oracles import REFERENCE_SELECT, nodes_mask
+from ._oracles import REFERENCE_SELECT, lowest_bits, nodes_mask
 
 POLICIES = sorted(REFERENCE_SELECT)
 
@@ -77,16 +83,42 @@ def _compare(cluster, free_ids, rng, masks):
                 want = reference(cluster, free, count, remote, hint)
                 for mask in masks:
                     got = policy.select(cluster, mask, count, remote, hint)
-                    assert got == want, (name, count, hint)
+                    if want is None:
+                        assert got is None, (name, count, hint)
+                        continue
+                    assert got == nodes_mask(want), (name, count, hint)
+                    assert ids_of(got) == want, (name, count, hint)
+
+
+@st.composite
+def _busy_masks(draw):
+    """Masks of up to ~1,100 bits shaped like a busy first-fit machine:
+    a few scattered free ids low down, a solid free run on top."""
+    width = draw(st.integers(0, 1100))
+    scattered = draw(st.sets(st.integers(0, max(width - 1, 0)), max_size=40))
+    top = draw(st.integers(0, width))
+    return nodes_mask(scattered) | ((1 << width) - 1) >> top << top
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mask=st.one_of(st.integers(0, (1 << 1100) - 1), _busy_masks()),
+    data=st.data(),
+)
+def test_lowest_mask_matches_bit_peeling(mask, data):
+    """The binary-search cut equals peeling bits from bit 0, at every
+    count from 0 to the popcount."""
+    count = data.draw(st.integers(0, mask.bit_count()))
+    assert lowest_mask(mask, count) == lowest_bits(mask, count)
 
 
 @settings(max_examples=200, deadline=None)
 @given(ids=st.sets(st.integers(0, 2100)), data=st.data())
-def test_lowest_ids_match_sorted(ids, data):
+def test_ids_of_lowest_mask_match_sorted(ids, data):
     """Decoding equals a sort of the id set, at every count."""
     want = sorted(ids)
     count = data.draw(st.integers(0, len(want)))
-    assert lowest_ids(nodes_mask(want), count) == want[:count]
+    assert ids_of(lowest_mask(nodes_mask(want), count)) == want[:count]
     assert ids_of(nodes_mask(want)) == want
 
 
@@ -111,7 +143,7 @@ def test_live_free_mask_matches_reference(num_nodes, per_rack):
     rng = random.Random(num_nodes * per_rack)
     cluster = _cluster(num_nodes, per_rack, rng)
     busy = rng.sample(range(num_nodes), num_nodes - min(40, num_nodes // 2))
-    cluster.allocate_nodes(7, busy, local_grant=0)
+    cluster.allocate_nodes(7, nodes_mask(busy), local_grant=0)
     free_ids = sorted(set(range(num_nodes)) - set(busy))
     assert ids_of(cluster.free_mask) == free_ids
     _compare(cluster, free_ids, rng, [cluster.free_mask, nodes_mask(free_ids)])
@@ -123,3 +155,17 @@ def test_empty_free_set():
     rng = random.Random(0)
     cluster = _cluster(8, 3, rng)
     _compare(cluster, [], rng, [0])
+
+
+def test_ordered_mask_is_its_plain_mask():
+    """An ``OrderedMask`` compares, hashes and combines as its plain
+    mask, decodes chunk by chunk, and keeps its order through pickle
+    and copy; arithmetic on it yields plain ints."""
+    ordered = OrderedMask([nodes_mask([5, 6]), nodes_mask([0, 2])])
+    plain = nodes_mask([0, 2, 5, 6])
+    assert ordered == plain and hash(ordered) == hash(plain)
+    assert ids_of(ordered) == [5, 6, 0, 2]
+    assert ids_of(plain) == [0, 2, 5, 6]
+    for twin in (pickle.loads(pickle.dumps(ordered)), copy.deepcopy(ordered)):
+        assert type(twin) is OrderedMask and ids_of(twin) == [5, 6, 0, 2]
+    assert type(ordered & plain) is int and type(ordered | 0) is int

@@ -26,7 +26,7 @@ import zlib
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.cluster.masks import ids_of
+from repro.cluster.masks import ids_of, mask_of
 from repro.engine.simulation import SchedulerSimulation
 from repro.memdis import GlobalPoolAllocator, HybridAllocator, RackLocalAllocator
 from repro.sched import AvailabilityProfile, Reservation
@@ -101,7 +101,7 @@ def _random_running(rng: random.Random, cluster: Cluster, now: float):
                 amount = min(pool.free, rng.choice((1, 2, 4)) * GiB)
                 if amount > 0:
                     grants[pool.pool_id] = amount
-        cluster.allocate_nodes(job.job_id, node_ids, min(job.mem_per_node, 16 * GiB))
+        cluster.allocate_nodes(job.job_id, mask_of(node_ids), min(job.mem_per_node, 16 * GiB))
         if grants:
             cluster.allocate_pool(job.job_id, grants)
         job.state = job.state.__class__.RUNNING
@@ -132,7 +132,7 @@ def _random_reservations(rng: random.Random, cluster: Cluster, now: float):
                 job_id=2000 + i,
                 start=start,
                 end=start + rng.uniform(300.0, 2 * HOUR),
-                node_ids=node_ids,
+                node_mask=mask_of(node_ids),
                 pool_grants=grants,
             )
         )
@@ -304,7 +304,7 @@ class TestIncrementalMutation:
         )
         # Mutate cluster the way the engine would, fold into the
         # profile, then compare against a from-scratch build.
-        cluster.allocate_nodes(job.job_id, node_ids, 8 * GiB)
+        cluster.allocate_nodes(job.job_id, mask_of(node_ids), 8 * GiB)
         if grants:
             cluster.allocate_pool(job.job_id, grants)
         job.state = job.state.__class__.RUNNING
@@ -313,7 +313,7 @@ class TestIncrementalMutation:
         job.pool_grants = grants
         job.dilation = rng.choice((0.0, 0.2))
         est_end = job.start_time + _duration_of(job)
-        new.apply_start(node_ids, grants, est_end)
+        new.apply_start(mask_of(node_ids), grants, est_end)
 
         running.append(job)
         ref = OracleProfile(cluster, running, now, _duration_of)
@@ -336,7 +336,7 @@ class TestIncrementalMutation:
             Reservation(job_id=100 + i,
                         start=50.0 * (i + 1),
                         end=50.0 * (i + 1) + rng.uniform(30.0, 200.0),
-                        node_ids=(i % 8, (i + 3) % 8),
+                        node_mask=mask_of((i % 8, (i + 3) % 8)),
                         pool_grants=((("global", 1024),) if i % 2 else ()))
             for i in range(5)
         ]
@@ -394,7 +394,7 @@ class TestIncrementalMutation:
         # cursor reuses that state as the new anchor.
         for due in (60.0, 900.0):
             profile = AvailabilityProfile(cluster, jobs, 0.0, _duration_of)
-            res = Reservation(7, 900.0, 1000.0, (0, 1), ())
+            res = Reservation(7, 900.0, 1000.0, mask_of((0, 1)), ())
             profile.add_reservation(res)
             before = profile.sweep_cursor()
             before.earliest_start(  # materialize deep
@@ -471,7 +471,7 @@ class TestIncrementalMutation:
         # Reservations survive a rebase (the retained-plan contract):
         # afterwards the profile equals a fresh build at the new
         # instant plus the same reservations re-added in order.
-        res = Reservation(2, 60.0, 70.0, (2,), ())
+        res = Reservation(2, 60.0, 70.0, mask_of((2,)), ())
         profile.add_reservation(res)
         assert profile.rebase(55.0)
         assert profile.now == 55.0

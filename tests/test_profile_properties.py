@@ -23,7 +23,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.cluster.masks import ids_of
+from repro.cluster.masks import ids_of, mask_of
 from repro.memdis import GlobalPoolAllocator
 from repro.sched import AvailabilityProfile, FirstFitPlacement, Reservation
 from repro.sched.placement import placement_for
@@ -62,7 +62,7 @@ reservations = st.lists(
             job_id=100 + i,
             start=start,
             end=start + duration,
-            node_ids=tuple(range(first, min(first + count, 6))),
+            node_mask=mask_of(range(first, min(first + count, 6))),
             pool_grants=(("global", pool * GiB),) if pool else (),
         )
         for i, (start, duration, first, count, pool) in enumerate(rows)
@@ -234,7 +234,7 @@ def _make_reservation(i, spec):
         job_id=100 + i,
         start=start,
         end=start + duration,
-        node_ids=tuple(range(first, min(first + count, 8))),
+        node_mask=mask_of(range(first, min(first + count, 8))),
         pool_grants=grants,
     )
 
@@ -367,7 +367,7 @@ def _start_job(cluster, job_id, node_ids, grants, start, est_end):
     job.assigned_nodes = list(node_ids)
     job.pool_grants = dict(grants)
     job.dilation = 0.0
-    cluster.allocate_nodes(job_id, node_ids, 8 * GiB)
+    cluster.allocate_nodes(job_id, mask_of(node_ids), 8 * GiB)
     if grants:
         cluster.allocate_pool(job_id, grants)
     return job
@@ -477,7 +477,7 @@ class TestFoldDivergenceHunt:
                                  0.0, est_end)
                 next_id += 1
                 running.append(job)
-                profile.apply_start(job.assigned_nodes, job.pool_grants,
+                profile.apply_start(mask_of(job.assigned_nodes), job.pool_grants,
                                     est_end)
             elif op == "release":
                 if not running:
@@ -486,10 +486,10 @@ class TestFoldDivergenceHunt:
                     data.draw(st.integers(0, len(running) - 1),
                               label=f"victim_{step}")
                 )
-                cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+                cluster.release_nodes(victim.job_id)
                 cluster.release_pool(victim.job_id)
                 assert profile.apply_release(
-                    victim.assigned_nodes, victim.pool_grants,
+                    mask_of(victim.assigned_nodes), victim.pool_grants,
                     victim.start_time + victim.walltime,
                 )
             elif op == "add":
@@ -558,8 +558,8 @@ class TestFoldRegressions:
         cursor = profile.sweep_cursor()
         cursor._materialize_to(len(cursor._times) - 1)
         running.remove(a)
-        cluster.release_nodes(a.job_id, a.assigned_nodes)
-        assert profile.apply_release(a.assigned_nodes, {}, 120.0)
+        cluster.release_nodes(a.job_id)
+        assert profile.apply_release(mask_of(a.assigned_nodes), {}, 120.0)
         assert 120.0 not in profile.sweep_cursor()._times
         _assert_fold_state(cluster, running, [], profile)
 
@@ -572,13 +572,13 @@ class TestFoldRegressions:
         running = [a]
         profile = AvailabilityProfile(cluster, running, 0.0, _fuzz_dur)
         res = Reservation(job_id=100, start=60.0, end=600.0,
-                          node_ids=(0,), pool_grants=())
+                          node_mask=mask_of((0,)), pool_grants=())
         profile.add_reservation(res)
         cursor = profile.sweep_cursor()
         cursor._materialize_to(len(cursor._times) - 1)
         running.remove(a)
-        cluster.release_nodes(a.job_id, a.assigned_nodes)
-        assert profile.apply_release(a.assigned_nodes, {}, 300.0)
+        cluster.release_nodes(a.job_id)
+        assert profile.apply_release(mask_of(a.assigned_nodes), {}, 300.0)
         free, _ = cursor_free_at(profile, 120.0)
         assert 0 not in free and 1 in free
         _assert_fold_state(cluster, running, [res], profile)
@@ -595,8 +595,8 @@ class TestFoldRegressions:
         cursor._materialize_to(len(cursor._times) - 1)
         assert math.inf in cursor._times
         running.remove(a)
-        cluster.release_nodes(a.job_id, a.assigned_nodes)
-        assert profile.apply_release(a.assigned_nodes, {}, 120.0)
+        cluster.release_nodes(a.job_id)
+        assert profile.apply_release(mask_of(a.assigned_nodes), {}, 120.0)
         assert math.inf in profile.sweep_cursor()._times
         _assert_fold_state(cluster, running, [], profile)
 
@@ -611,12 +611,12 @@ class TestFoldRegressions:
         running = [a, b]
         profile = AvailabilityProfile(cluster, running, 0.0, _fuzz_dur)
         res = Reservation(job_id=100, start=120.0, end=120.0,
-                          node_ids=(3,), pool_grants=())
+                          node_mask=mask_of((3,)), pool_grants=())
         profile.add_reservation(res)
         cursor = profile.sweep_cursor()
         cursor._materialize_to(len(cursor._times) - 1)
         running.remove(a)
-        cluster.release_nodes(a.job_id, a.assigned_nodes)
-        assert profile.apply_release(a.assigned_nodes, {}, 120.0)
+        cluster.release_nodes(a.job_id)
+        assert profile.apply_release(mask_of(a.assigned_nodes), {}, 120.0)
         assert 120.0 in profile.sweep_cursor()._times
         _assert_fold_state(cluster, running, [res], profile)

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.cluster.masks import ids_of
+from repro.cluster.masks import ids_of, mask_of
 from repro.engine.simulation import SchedulerSimulation
 from repro.sched import AvailabilityProfile
 from repro.sched.base import Scheduler, SchedulerContext, build_scheduler
@@ -75,7 +75,7 @@ def _start_running_job(rng, cluster, job_id, now):
         amount = min(pool.free, rng.choice((1, 2, 4)) * GiB)
         if amount > 0:
             grants[pool.pool_id] = amount
-    cluster.allocate_nodes(job.job_id, node_ids, min(job.mem_per_node, 16 * GiB))
+    cluster.allocate_nodes(job.job_id, mask_of(node_ids), min(job.mem_per_node, 16 * GiB))
     if grants:
         cluster.allocate_pool(job.job_id, grants)
     job.state = JobState.RUNNING
@@ -161,11 +161,11 @@ class TestApplyReleaseUnit:
         while running:
             _materialize_random_prefix(rng, profile)
             victim = running.pop(rng.randrange(len(running)))
-            cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+            cluster.release_nodes(victim.job_id)
             cluster.release_pool(victim.job_id)
             est_end = victim.start_time + _duration_of(victim)
             assert profile.apply_release(
-                victim.assigned_nodes, victim.pool_grants, est_end
+                mask_of(victim.assigned_nodes), victim.pool_grants, est_end
             )
             _assert_equals_rebuild(rng, cluster, running, now, profile)
 
@@ -189,11 +189,11 @@ class TestApplyReleaseUnit:
             _materialize_random_prefix(rng, profile)
             if running and rng.random() < 0.5:
                 victim = running.pop(rng.randrange(len(running)))
-                cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+                cluster.release_nodes(victim.job_id)
                 cluster.release_pool(victim.job_id)
                 est_end = victim.start_time + _duration_of(victim)
                 assert profile.apply_release(
-                    victim.assigned_nodes, victim.pool_grants, est_end
+                    mask_of(victim.assigned_nodes), victim.pool_grants, est_end
                 )
             else:
                 job = _start_running_job(rng, cluster, next_id, now)
@@ -203,7 +203,7 @@ class TestApplyReleaseUnit:
                 job.start_time = now  # a mid-pass start happens *now*
                 running.append(job)
                 profile.apply_start(
-                    job.assigned_nodes, job.pool_grants,
+                    mask_of(job.assigned_nodes), job.pool_grants,
                     job.start_time + _duration_of(job),
                 )
             _assert_equals_rebuild(rng, cluster, running, now, profile)
@@ -223,8 +223,8 @@ class TestApplyReleaseUnit:
         job.pool_grants = {}
         profile = AvailabilityProfile(cluster, [job], 0.0, _duration_of)
         before = profile.breakpoints()
-        assert not profile.apply_release([0, 1], {}, -40.0)
-        assert not profile.apply_release([0, 1], {}, 1.0)
+        assert not profile.apply_release(mask_of([0, 1]), {}, -40.0)
+        assert not profile.apply_release(mask_of([0, 1]), {}, 1.0)
         assert profile.breakpoints() == before
 
     def test_refuses_unknown_entry(self):
@@ -241,13 +241,13 @@ class TestApplyReleaseUnit:
         profile = AvailabilityProfile(cluster, [job], 0.0, _duration_of)
         mutations = profile.mutation_count
         # Wrong time, wrong nodes, wrong grants: all refused untouched.
-        assert not profile.apply_release([0, 1], {}, 99.0)
-        assert not profile.apply_release([0, 2], {}, 100.0)
-        assert not profile.apply_release([0, 1], {"global": GiB}, 100.0)
+        assert not profile.apply_release(mask_of([0, 1]), {}, 99.0)
+        assert not profile.apply_release(mask_of([0, 2]), {}, 100.0)
+        assert not profile.apply_release(mask_of([0, 1]), {"global": GiB}, 100.0)
         assert profile.mutation_count == mutations
         assert profile.breakpoints() == [0.0, 100.0]
         # The real entry folds fine afterwards.
-        assert profile.apply_release([0, 1], {}, 100.0)
+        assert profile.apply_release(mask_of([0, 1]), {}, 100.0)
         assert profile.breakpoints() == [0.0]
 
 
@@ -293,7 +293,7 @@ class _DeafScheduler(Scheduler):
     """A scheduler that never hears about releases: every completion
     forces the pre-folding rebuild path."""
 
-    def notify_release(self, cluster, job, now, version_before):
+    def notify_release(self, cluster, job, now, version_before, node_mask):
         return None
 
 
@@ -377,7 +377,7 @@ def _shadow_cluster(pool: int = 64 * GiB) -> Cluster:
 def _shadow_running(cluster, job_id, node_ids, walltime, pool=0):
     job = Job(job_id=job_id, submit_time=0.0, nodes=len(node_ids),
               walltime=walltime, runtime=walltime, mem_per_node=8 * GiB)
-    cluster.allocate_nodes(job_id, list(node_ids), 8 * GiB)
+    cluster.allocate_nodes(job_id, mask_of(node_ids), 8 * GiB)
     grants = {}
     if pool:
         grants = {"global": pool}
@@ -404,10 +404,12 @@ def _complete(sched, cluster, job, running, now):
     """Engine-faithful completion: resources released first, then the
     notification hook, with the pre-release version stamp."""
     version_before = cluster.version
-    cluster.release_nodes(job.job_id, job.assigned_nodes)
+    node_mask = cluster.release_nodes(job.job_id)
     cluster.release_pool(job.job_id)
     running.remove(job)
-    return sched.backfill.on_release(sched, cluster, job, now, version_before)
+    return sched.backfill.on_release(
+        sched, cluster, job, now, version_before, node_mask
+    )
 
 
 def _fresh_shadow(cluster, running, head, now):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
+from repro.cluster.masks import ids_of, mask_of
 from repro.errors import ConfigurationError
 from repro.memdis import GlobalPoolAllocator, HybridAllocator, RackLocalAllocator
 from repro.sched import (
@@ -93,7 +94,7 @@ class TestQueuePolicies:
 class TestPlacement:
     def test_first_fit_lowest_ids(self, pooled_cluster):
         free = nodes_mask(range(8))
-        assert FirstFitPlacement().select(pooled_cluster, free, 3, 0) == [0, 1, 2]
+        assert FirstFitPlacement().select(pooled_cluster, free, 3, 0) == 0b0111
 
     def test_insufficient_nodes(self, pooled_cluster):
         free = nodes_mask([1, 5])
@@ -104,19 +105,19 @@ class TestPlacement:
         # entirely in rack1.
         free = nodes_mask([0, 1, 5, 6, 7])
         nodes = RackPackPlacement().select(pooled_cluster, free, 3, 0)
-        assert nodes == [5, 6, 7]
+        assert ids_of(nodes) == [5, 6, 7]
 
     def test_rack_pack_spills_in_rack_order(self, pooled_cluster):
         free = nodes_mask([0, 1, 5, 6, 7])
         nodes = RackPackPlacement().select(pooled_cluster, free, 4, 0)
-        assert nodes == [5, 6, 7, 0]
+        assert ids_of(nodes) == [5, 6, 7, 0]
 
     def test_min_remote_prefers_pool_space(self, pooled_cluster):
         # Drain rack1's pool; min_remote should prefer rack0 now.
         pooled_cluster.rack(1).pool.allocate(99, 60 * GiB)
         free = nodes_mask([0, 1, 4, 5])
         nodes = MinRemotePlacement().select(pooled_cluster, free, 2, 4 * GiB)
-        assert nodes == [0, 1]
+        assert ids_of(nodes) == [0, 1]
 
     def test_min_remote_uses_override_hint(self, pooled_cluster):
         free = nodes_mask([0, 1, 4, 5])
@@ -124,17 +125,17 @@ class TestPlacement:
         nodes = MinRemotePlacement().select(
             pooled_cluster, free, 2, 4 * GiB, pool_free=hint
         )
-        assert nodes == [4, 5]
+        assert ids_of(nodes) == [4, 5]
 
     def test_spread_round_robins(self, pooled_cluster):
         free = nodes_mask(range(8))
         nodes = SpreadPlacement().select(pooled_cluster, free, 4, 0)
-        assert nodes == [0, 4, 1, 5]
+        assert ids_of(nodes) == [0, 4, 1, 5]
 
     def test_spread_handles_uneven_racks(self, pooled_cluster):
         free = nodes_mask([0, 4, 5, 6])
         nodes = SpreadPlacement().select(pooled_cluster, free, 4, 0)
-        assert sorted(nodes) == [0, 4, 5, 6]
+        assert sorted(ids_of(nodes)) == [0, 4, 5, 6]
 
     def test_factory(self):
         for name in ("first_fit", "rack_pack", "min_remote", "spread"):
@@ -175,7 +176,7 @@ class TestAvailabilityProfile:
         cluster = self.setup_cluster()
         job = running_job(1, [0, 1], start=0.0, walltime=100.0,
                           pool_grants={"global": 2 * GiB})
-        cluster.allocate_nodes(1, [0, 1], 0)
+        cluster.allocate_nodes(1, mask_of([0, 1]), 0)
         cluster.allocate_pool(1, {"global": 2 * GiB})
         profile = AvailabilityProfile(cluster, [job], now=10.0,
                                       duration_of=lambda j: j.walltime)
@@ -189,7 +190,7 @@ class TestAvailabilityProfile:
     def test_overrun_job_clamped(self):
         cluster = self.setup_cluster()
         job = running_job(1, [0], start=0.0, walltime=100.0)
-        cluster.allocate_nodes(1, [0], 0)
+        cluster.allocate_nodes(1, mask_of([0]), 0)
         # now is already past the estimated end; resources are expected
         # "any moment", not in the past.
         profile = AvailabilityProfile(cluster, [job], now=500.0,
@@ -204,7 +205,7 @@ class TestAvailabilityProfile:
         profile = AvailabilityProfile(cluster, [], now=0.0,
                                       duration_of=lambda j: j.walltime)
         profile.add_reservation(
-            Reservation(9, start=50.0, end=150.0, node_ids=(1, 2),
+            Reservation(9, start=50.0, end=150.0, node_mask=mask_of((1, 2)),
                         pool_grants=(("global", 4 * GiB),))
         )
         free, pool_min = cursor_window_free(profile, 0.0, 100.0)
@@ -230,7 +231,7 @@ class TestAvailabilityProfile:
     def test_earliest_start_waits_for_nodes(self):
         cluster = self.setup_cluster()
         blocker = running_job(1, [0, 1, 2], start=0.0, walltime=100.0)
-        cluster.allocate_nodes(1, [0, 1, 2], 0)
+        cluster.allocate_nodes(1, mask_of([0, 1, 2]), 0)
         profile = AvailabilityProfile(cluster, [blocker], now=10.0,
                                       duration_of=lambda j: j.walltime)
         job = make_job(job_id=7, nodes=3, mem=1 * GiB)
@@ -244,7 +245,7 @@ class TestAvailabilityProfile:
         cluster = self.setup_cluster()
         holder = running_job(1, [0], start=0.0, walltime=200.0,
                              pool_grants={"global": 7 * GiB})
-        cluster.allocate_nodes(1, [0], 0)
+        cluster.allocate_nodes(1, mask_of([0]), 0)
         cluster.allocate_pool(1, {"global": 7 * GiB})
         profile = AvailabilityProfile(cluster, [holder], now=0.0,
                                       duration_of=lambda j: j.walltime)
@@ -259,7 +260,7 @@ class TestAvailabilityProfile:
         cluster = self.setup_cluster()
         holder = running_job(1, [0], start=0.0, walltime=200.0,
                              pool_grants={"global": 7 * GiB})
-        cluster.allocate_nodes(1, [0], 0)
+        cluster.allocate_nodes(1, mask_of([0]), 0)
         cluster.allocate_pool(1, {"global": 7 * GiB})
         profile = AvailabilityProfile(cluster, [holder], now=0.0,
                                       duration_of=lambda j: j.walltime)
@@ -276,7 +277,7 @@ class TestAvailabilityProfile:
         profile = AvailabilityProfile(cluster, [], now=0.0,
                                       duration_of=lambda j: j.walltime)
         profile.add_reservation(
-            Reservation(9, start=10.0, end=100.0, node_ids=(0, 1, 2),
+            Reservation(9, start=10.0, end=100.0, node_mask=mask_of((0, 1, 2)),
                         pool_grants=())
         )
         job = make_job(job_id=7, nodes=2, mem=1 * GiB)
@@ -302,7 +303,7 @@ class TestAvailabilityProfile:
         profile = AvailabilityProfile(cluster, [], now=0.0,
                                       duration_of=lambda j: j.walltime)
         res = profile.add_reservation(
-            Reservation(9, 0.0, 100.0, (0, 1, 2, 3), ())
+            Reservation(9, 0.0, 100.0, mask_of((0, 1, 2, 3)), ())
         )
         job = make_job(job_id=7, nodes=1, mem=1 * GiB)
         first = profile.earliest_start(

@@ -180,12 +180,22 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "field, node_ids",
-        [("assigned_nodes", [-1]), ("down_nodes", [-1]), ("down_nodes", [32])],
+        [
+            ("assigned_nodes", [-1]),
+            ("down_nodes", [-1]),
+            ("down_nodes", [32]),
+            *(
+                (field, node_ids)
+                for field in ("assigned_nodes", "down_nodes")
+                for node_ids in ([1.5], ["3"], [True])
+            ),
+        ],
     )
     def test_restore_rejects_out_of_range_node_ids(self, field, node_ids):
-        """A snapshot naming a node id outside the cluster is refused
-        before that id touches cluster state (a negative id must not
-        wrap around to the last node)."""
+        """A snapshot naming a node id outside the cluster, or anything
+        but a plain integer id, is refused before that id touches
+        cluster state (a negative id must not wrap around to the last
+        node, nor ``true`` restore as node 1)."""
         config = small_config(num_jobs=5)
         engine = SchedulerSimulation(
             config.build_cluster(), config.build_scheduler(), [], online=True

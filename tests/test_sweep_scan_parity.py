@@ -25,7 +25,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, PoolSpec
-from repro.cluster.masks import ids_of
+from repro.cluster.masks import ids_of, mask_of
 from repro.memdis import GlobalPoolAllocator
 from repro.sched import AvailabilityProfile, FirstFitPlacement, Reservation
 from repro.units import GiB, HOUR
@@ -76,7 +76,7 @@ def _start_job(rng, cluster, job_id, now):
         amount = min(pool.free, rng.choice((1, 2, 4)) * GiB)
         if amount > 0:
             grants[pool.pool_id] = amount
-    cluster.allocate_nodes(job.job_id, node_ids, 8 * GiB)
+    cluster.allocate_nodes(job.job_id, mask_of(node_ids), 8 * GiB)
     if grants:
         cluster.allocate_pool(job.job_id, grants)
     job.state = JobState.RUNNING
@@ -162,7 +162,7 @@ def _run_script(seed: int, kind: str, num_nodes: int = 10) -> int:
                     trial = Reservation(
                         job_id=2, start=now,
                         end=now + rng.choice((600.0, HOUR)),
-                        node_ids=tuple(take), pool_grants=(),
+                        node_mask=mask_of(take), pool_grants=(),
                     )
                     not_after = now + rng.choice((600.0, HOUR))
             got = cursor.earliest_start(
@@ -195,7 +195,7 @@ def _run_script(seed: int, kind: str, num_nodes: int = 10) -> int:
             res = Reservation(
                 job_id=100 + step, start=start,
                 end=start + rng.choice((0.0, 600.0, HOUR)),
-                node_ids=tuple(range(
+                node_mask=mask_of(range(
                     rng.randint(0, 6 * num_nodes // 10),
                     rng.randint(7 * num_nodes // 10, num_nodes))),
                 pool_grants=(),
@@ -208,10 +208,10 @@ def _run_script(seed: int, kind: str, num_nodes: int = 10) -> int:
             assert profile.sweep_cursor() is cursor
         elif roll < 0.9 and running:
             victim = running.pop(rng.randrange(len(running)))
-            cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+            cluster.release_nodes(victim.job_id)
             cluster.release_pool(victim.job_id)
             assert profile.apply_release(
-                victim.assigned_nodes, victim.pool_grants,
+                mask_of(victim.assigned_nodes), victim.pool_grants,
                 victim.start_time + victim.walltime)
             stale, cursor = cursor, profile.sweep_cursor()
             assert cursor is not stale
@@ -223,7 +223,7 @@ def _run_script(seed: int, kind: str, num_nodes: int = 10) -> int:
             job.start_time = now
             running.append(job)
             profile.apply_start(
-                job.assigned_nodes, job.pool_grants,
+                mask_of(job.assigned_nodes), job.pool_grants,
                 job.start_time + job.walltime)
             stale, cursor = cursor, profile.sweep_cursor()
             assert cursor is not stale
@@ -272,9 +272,9 @@ class TestCursorLifecycle:
     def test_reservation_edits_keep_cursor_live(self):
         _, _, profile, cursor = _lifecycle_world()
         first = Reservation(job_id=1, start=300.0, end=900.0,
-                            node_ids=(5, 6), pool_grants=())
+                            node_mask=mask_of((5, 6)), pool_grants=())
         second = Reservation(job_id=2, start=600.0, end=1200.0,
-                             node_ids=(7,), pool_grants=())
+                             node_mask=mask_of((7,)), pool_grants=())
         profile.add_reservation(first)
         profile.add_reservation(second)
         assert profile.sweep_cursor() is cursor
@@ -289,7 +289,7 @@ class TestCursorLifecycle:
         cluster, _, profile, cursor = _lifecycle_world()
         free = ids_of(cluster.free_mask)[:2]
         before = profile.mutation_count
-        profile.apply_start(free, {}, 1500.0)
+        profile.apply_start(mask_of(free), {}, 1500.0)
         assert profile._cursor is None
         assert profile.mutation_count == before + 1
         fresh = profile.sweep_cursor()
@@ -300,10 +300,10 @@ class TestCursorLifecycle:
         cluster, running, profile, cursor = _lifecycle_world()
         victim = running[0]
         end = victim.start_time + victim.walltime
-        cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+        cluster.release_nodes(victim.job_id)
         cluster.release_pool(victim.job_id)
         assert profile.apply_release(
-            victim.assigned_nodes, victim.pool_grants, end)
+            mask_of(victim.assigned_nodes), victim.pool_grants, end)
         assert profile._cursor is None
         fresh = profile.sweep_cursor()
         assert fresh is not cursor
@@ -312,7 +312,7 @@ class TestCursorLifecycle:
     def test_refused_release_keeps_cursor(self):
         _, _, profile, cursor = _lifecycle_world()
         before = profile.mutation_count
-        assert not profile.apply_release((9,), {}, 12345.0)
+        assert not profile.apply_release(mask_of((9,)), {}, 12345.0)
         assert profile.mutation_count == before
         assert profile.sweep_cursor() is cursor
 
@@ -321,7 +321,7 @@ class TestCursorLifecycle:
         job = Job(job_id=1, submit_time=0.0, nodes=1, walltime=600.0,
                   runtime=300.0, mem_per_node=8 * GiB)
         late = Reservation(job_id=2, start=60.0, end=600.0,
-                           node_ids=(0,), pool_grants=())
+                           node_mask=mask_of((0,)), pool_grants=())
         with pytest.raises(ValueError, match="profile instant"):
             cursor.earliest_start(job, 300.0, 0, FirstFitPlacement(),
                                   GlobalPoolAllocator(), trial=late)
