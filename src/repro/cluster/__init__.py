@@ -1,4 +1,4 @@
-"""Hardware model: nodes, racks, disaggregated memory pools, fabric.
+"""Hardware model: nodes, racks, disaggregated memory pools.
 
 The cluster is the passive substrate: nodes and racks are static
 capacity records, while the cluster tracks which nodes are idle, down
@@ -13,7 +13,6 @@ from .spec import ClusterSpec, PoolSpec, NodeSpec
 from .node import Node
 from .rack import Rack
 from .pool import MemoryPool
-from .fabric import Fabric, PoolReach
 from .cluster import Cluster
 
 __all__ = [
@@ -23,7 +22,5 @@ __all__ = [
     "Node",
     "Rack",
     "MemoryPool",
-    "Fabric",
-    "PoolReach",
     "Cluster",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import AllocationError
-from .fabric import Fabric
 from .masks import ids_of, mask_of
 from .node import Node
 from .pool import MemoryPool
@@ -64,7 +63,6 @@ class Cluster:
             self.global_pool = MemoryPool(
                 "global", spec.pool.global_pool, spec.pool.global_bandwidth
             )
-        self.fabric = Fabric(self)
         # Node availability as node masks (bit *i* = node *i*, see
         # :mod:`repro.cluster.masks`); pool lookups are prebuilt (pool
         # identity never changes after construction).

@@ -571,7 +571,9 @@ class ConservativeBackfill(BackfillStrategy):
         profile = self._cycle_profile(ctx, sched)
         window = ordered[: self.depth]
         entries: List[tuple] = []
-        replay_stats = self.replay_stats
+        # replay_stats increments (with ``retained`` below), added
+        # once at teardown.
+        n_probe = n_recompute = 0
         # Largest breakpoint this pass's own starts can perturb: a
         # start is claimed as a reservation ending at the *estimated*
         # end during the pass and folded as a release at the
@@ -618,27 +620,21 @@ class ConservativeBackfill(BackfillStrategy):
                 profile.clear_reservations()
         retained = 0  # standing reservations validated so far (prefix)
 
-        # The pass's one merged availability sweep: every scan below —
-        # replay probes and full scans alike — runs through this
-        # cursor, sharing the materialized breakpoint states across all
-        # queued jobs (and, on the retained fast path, across passes
-        # that fold nothing in between).
-        sweep = profile.sweep_cursor()
-
-        def spill() -> None:
-            """Drop the not-yet-validated retained suffix.
-
-            A fresh scan or probe for entry *i* must see exactly the
-            reservations of entries ahead of it — the retained claims
-            of entries at or after *i* would under-count availability.
-            The validated prefix (insertion indices ``0..retained-1``)
-            stands exactly as the plain loop would have rebuilt it.
-            """
-            nonlocal live, sweep
-            if live:
-                live = False
-                profile.truncate_reservations(retained)
-                sweep = profile.sweep_cursor()
+        # A spill (``live = False`` and ``truncate_reservations(retained)``)
+        # drops the not-yet-validated retained suffix.  A fresh scan or
+        # probe for entry *i* must see exactly the reservations of
+        # entries ahead of it — the retained claims of entries at or
+        # after *i* would under-count availability.  The validated
+        # prefix (insertion indices ``0..retained-1``) stands exactly
+        # as the plain loop would have rebuilt it.
+        #
+        # Every scan below — replay probes and full scans alike — runs
+        # through the profile's one merged availability sweep, fetched
+        # at each use with ``profile.sweep_cursor()``: a pass that
+        # spills at position 0 (which drops the cursor) or that needs
+        # no scan builds none, and on the retained fast path the
+        # materialized breakpoint states are shared across passes that
+        # fold nothing in between.
 
         # Resume points: while the queue prefix and the profile are
         # provably unchanged, each cached reservation is exact iff a
@@ -655,11 +651,13 @@ class ConservativeBackfill(BackfillStrategy):
         # zero, so a job's duration estimate is a pure function of its
         # request shape: a cached entry's duration is byte-identical
         # to a fresh estimate by construction, and the revalidation
-        # below can reuse it without recomputing.
-        unmetered = not ctx.cluster.has_metered_pools
+        # below can reuse it without recomputing.  The memory split is
+        # then looked up only by an entry that probes or scans.
+        cluster = ctx.cluster
+        unmetered = not cluster.has_metered_pools
 
         for index, job in enumerate(window):
-            split = sched.split_for(job, ctx.cluster)
+            split = None
             entry = None
             if tracking:
                 if index < len(cached_entries):
@@ -675,7 +673,8 @@ class ConservativeBackfill(BackfillStrategy):
             if entry is not None and unmetered:
                 dur = entry[2]
             else:
-                dur = sched.est_duration(job, ctx.cluster, split=split)
+                split = sched.split_for(job, cluster)
+                dur = sched.est_duration(job, cluster, split=split)
             # Durations are pressure-dependent on metered machines, so
             # a cached entry is only usable while the job's estimate
             # is byte-identical to a fresh one.
@@ -692,7 +691,8 @@ class ConservativeBackfill(BackfillStrategy):
                         retained >= profile.reservation_count
                         or profile.reservation_at(retained) is not cached_res
                     ):  # pragma: no cover - defensive; invariant-kept
-                        spill()
+                        live = False
+                        profile.truncate_reservations(retained)
                     # The probe's whole range [now, cap] lies strictly
                     # below the cached start.  A probe capped at *now*
                     # has one candidate — the anchor — so a free-node
@@ -702,11 +702,18 @@ class ConservativeBackfill(BackfillStrategy):
                     # count is identical with or without the standing
                     # suffix.)  Otherwise the real bounded probe runs —
                     # against the validated prefix alone.
-                    if cap <= now and sweep.count_at_anchor() < job.nodes:
+                    if (
+                        cap <= now
+                        and profile.sweep_cursor().count_at_anchor() < job.nodes
+                    ):
                         probe = None
                     else:
-                        spill()
-                        probe = sweep.earliest_start(
+                        if live:  # spill
+                            live = False
+                            profile.truncate_reservations(retained)
+                        if split is None:
+                            split = sched.split_for(job, cluster)
+                        probe = profile.sweep_cursor().earliest_start(
                             job, dur, split.remote, sched.placement,
                             allocator, not_after=cap,
                         )
@@ -715,18 +722,21 @@ class ConservativeBackfill(BackfillStrategy):
                             # Already standing at exactly this
                             # insertion position: validate in place.
                             retained += 1
-                            replay_stats["retained"] += 1
                         else:
                             profile.add_reservation(cached_res)
-                        replay_stats["probe"] += 1
+                        n_probe += 1
                         ctx.record_promise(job.job_id, cached_res.start)
                         entries.append(entry)
                         continue
                     # Startable at or before the cap: fall through to
                     # the fresh scan (which will find that start).
-            replay_stats["recompute"] += 1
-            spill()
-            res = sweep.earliest_start(
+            n_recompute += 1
+            if live:  # spill
+                live = False
+                profile.truncate_reservations(retained)
+            if split is None:
+                split = sched.split_for(job, cluster)
+            res = profile.sweep_cursor().earliest_start(
                 job, dur, split.remote, sched.placement, allocator,
             )
             if entry is None or entry[2] != dur or res != entry[1]:
@@ -782,19 +792,25 @@ class ConservativeBackfill(BackfillStrategy):
         # Teardown: the release sweep underneath is durable, and so —
         # now — are the standing reservations: they are *retained* for
         # the next pass's fast path instead of cleared and re-derived.
-        # Only the in-pass claims of started jobs leave (each is
-        # replaced by an ``apply_start`` fold at the realized
-        # dilation, exactly what a fresh build would see), restoring
-        # the "fresh build at current cluster state plus the standing
-        # plan" invariant the caches rest on.
-        for claim in claims:
-            profile.remove_reservation(claim)
+        # Only the in-pass claims of started jobs leave, each replaced
+        # by an ``apply_start`` fold at the realized dilation (exactly
+        # what a fresh build would see), restoring the "fresh build at
+        # current cluster state plus the standing plan" invariant the
+        # caches rest on.  The folds run first: they touch only the
+        # release timeline, and they drop the cursor, so the claim
+        # removals after them patch no cursor that is about to go.
         for decision in started:
             job = decision.job
             est_end = job.start_time + sched.duration_of_running(job)
             profile.apply_start(decision.node_mask, decision.plan, est_end)
             if est_end > pass_horizon:
                 pass_horizon = est_end
+        for claim in claims:
+            profile.remove_reservation(claim)
+        replay_stats = self.replay_stats
+        replay_stats["retained"] += retained
+        replay_stats["probe"] += n_probe
+        replay_stats["recompute"] += n_recompute
         self._profile_cache = (ctx.cluster, ctx.cluster.version, profile)
         self._plan = _ReservationPlan(
             profile, profile.mutation_count, pass_horizon, entries,

@@ -29,12 +29,14 @@ cache:
 
 * :meth:`add_reservation` / :meth:`remove_reservation` locate by
   bisect (O(log n)) but insert into and delete from sorted Python
-  lists, O(n) element moves each; removal also renumbers ``_res_index``
-  for every later reservation, an O(n) loop.  The release sweep is
-  untouched because reservations are layered on top of it at scan
-  time.  Reservations also live in an **interval index**: two sorted
-  event timelines (one by start, one by end) that a scan locates its
-  active and window-crossing reservations in by bisect;
+  lists, O(n) element moves each.  The release sweep is untouched
+  because reservations are layered on top of it at scan time.
+  Reservations live in an **interval index**: two sorted event
+  timelines (one by start, one by end) that a scan locates its active
+  and window-crossing reservations in by bisect.  The same two
+  timelines are the reservation bounds of the breakpoint grid
+  (:meth:`breakpoints`, :meth:`SweepCursor._is_breakpoint`); no other
+  copy of the bounds is kept;
 * :meth:`apply_start` folds a job started *mid-pass* into the profile
   by patching the affected prefix of the cached sweep in place —
   bit-for-bit equivalent to rebuilding from the post-start cluster;
@@ -70,7 +72,11 @@ either:
   the cursor; the next :meth:`AvailabilityProfile.sweep_cursor` call
   rebuilds it lazily.  Patching the materialized states through a
   release fold measured slower than this drop-and-rebuild, so a caller
-  that holds a cursor across a fold must re-fetch it.
+  that holds a cursor across a fold must re-fetch it.  Callers fetch
+  it where they scan, so a pass that drops the cursor before its first
+  scan, or never scans, builds none; conservative teardown folds its
+  starts before it removes their claims, so those removals find no
+  cursor to patch.
 
 Every scan result and every cursor state is bitwise identical to the
 brute-force oracle (``tests/_oracles.py``); the equivalence suites
@@ -84,7 +90,7 @@ after *now*; the classic "expected to end any moment" convention.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
@@ -237,18 +243,17 @@ class AvailabilityProfile:
         ]
 
         self._reservations: List[Reservation] = []
-        self._res_bounds: List[float] = []  # sorted starts+ends (duplicates ok)
         # Interval index: the same reservations in two sorted event
-        # timelines, plus each reservation's current position in the
-        # insertion-order list (the tie-order key the pool sweep uses).
+        # timelines (together they are the reservation bounds of the
+        # breakpoint grid), plus each reservation's registration number
+        # — increasing in insertion order, so it is the tie-order key
+        # the pool sweep uses, and a removal renumbers nothing.
         self._res_start_times: List[float] = []
         self._res_start_refs: List[Reservation] = []
-        #: Node bitmask of each reservation, aligned with the start
-        #: timeline (computed once, at registration).
-        self._res_start_masks: List[int] = []
         self._res_end_times: List[float] = []
         self._res_end_refs: List[Reservation] = []
-        self._res_index: Dict[int, int] = {}  # id(res) -> index
+        self._res_seq: Dict[int, int] = {}  # id(res) -> registration number
+        self._next_seq = 0
         #: Bumped by :meth:`apply_start` / :meth:`apply_release`;
         #: external caches key derived results (e.g. a head shadow)
         #: on it.
@@ -392,7 +397,7 @@ class AvailabilityProfile:
     def add_reservation(self, reservation: Reservation) -> Reservation:
         """Register a promised window.
 
-        Each index insert is located by bisect but is an O(n) list
+        Each timeline insert is located by bisect but is an O(n) list
         insert.  The reservation carries its node mask from placement,
         so registering it encodes nothing.
 
@@ -403,21 +408,33 @@ class AvailabilityProfile:
         or retains reservations in queue-walk order.  A live sweep
         cursor is patched in place, never dropped.
         """
-        self._res_index[id(reservation)] = len(self._reservations)
+        self._res_seq[id(reservation)] = self._next_seq
+        self._next_seq += 1
         self._reservations.append(reservation)
-        insort(self._res_bounds, reservation.start)
-        insort(self._res_bounds, reservation.end)
-        mask = reservation.node_mask
         pos = bisect_right(self._res_start_times, reservation.start)
         self._res_start_times.insert(pos, reservation.start)
         self._res_start_refs.insert(pos, reservation)
-        self._res_start_masks.insert(pos, mask)
         pos = bisect_right(self._res_end_times, reservation.end)
         self._res_end_times.insert(pos, reservation.end)
         self._res_end_refs.insert(pos, reservation)
         if self._cursor is not None:
-            self._cursor._on_add(reservation, mask)
+            self._cursor._on_add(reservation)
         return reservation
+
+    def _unindex(self, res: Reservation) -> None:
+        """Take ``res`` (already out of ``_reservations``) off the
+        interval index."""
+        del self._res_seq[id(res)]
+        pos = bisect_left(self._res_start_times, res.start)
+        while self._res_start_refs[pos] is not res:
+            pos += 1
+        del self._res_start_times[pos]
+        del self._res_start_refs[pos]
+        pos = bisect_left(self._res_end_times, res.end)
+        while self._res_end_refs[pos] is not res:
+            pos += 1
+        del self._res_end_times[pos]
+        del self._res_end_refs[pos]
 
     def remove_reservation(self, reservation: Reservation) -> None:
         """Withdraw one reservation; later insertion indices shift
@@ -436,25 +453,8 @@ class AvailabilityProfile:
                 break
         else:
             index = reservations.index(reservation)  # ValueError as before
-        actual = reservations[index]
-        del reservations[index]
-        res_index = self._res_index
-        del res_index[id(actual)]
-        for later in reservations[index:]:
-            res_index[id(later)] -= 1
-        for bound in (actual.start, actual.end):
-            del self._res_bounds[bisect_left(self._res_bounds, bound)]
-        pos = bisect_left(self._res_start_times, actual.start)
-        while self._res_start_refs[pos] is not actual:
-            pos += 1
-        del self._res_start_times[pos]
-        del self._res_start_refs[pos]
-        del self._res_start_masks[pos]
-        pos = bisect_left(self._res_end_times, actual.end)
-        while self._res_end_refs[pos] is not actual:
-            pos += 1
-        del self._res_end_times[pos]
-        del self._res_end_refs[pos]
+        actual = reservations.pop(index)
+        self._unindex(actual)
         if self._cursor is not None:
             self._cursor._on_remove((actual,))
 
@@ -462,18 +462,14 @@ class AvailabilityProfile:
         """Drop every reservation at once (pass teardown).
 
         Equivalent to ``remove_reservation`` over the whole list but
-        O(count): conservative backfill lays down ``depth``
-        reservations per pass and discards them all before caching the
-        profile for the next cycle.
+        O(count); a stale or already-due retained plan leaves this way.
         """
         if not self._reservations:
             return
         self._reservations.clear()
-        self._res_index.clear()
-        self._res_bounds.clear()
+        self._res_seq.clear()
         self._res_start_times.clear()
         self._res_start_refs.clear()
-        self._res_start_masks.clear()
         self._res_end_times.clear()
         self._res_end_refs.clear()
         self._cursor = None
@@ -501,26 +497,10 @@ class AvailabilityProfile:
         if keep <= 0:
             self.clear_reservations()
             return
-        res_index = self._res_index
-        bounds = self._res_bounds
-        dropped: List[Reservation] = []
-        while len(reservations) > keep:
-            res = reservations.pop()
-            dropped.append(res)
-            del res_index[id(res)]
-            for bound in (res.start, res.end):
-                del bounds[bisect_left(bounds, bound)]
-            pos = bisect_left(self._res_start_times, res.start)
-            while self._res_start_refs[pos] is not res:
-                pos += 1
-            del self._res_start_times[pos]
-            del self._res_start_refs[pos]
-            del self._res_start_masks[pos]
-            pos = bisect_left(self._res_end_times, res.end)
-            while self._res_end_refs[pos] is not res:
-                pos += 1
-            del self._res_end_times[pos]
-            del self._res_end_refs[pos]
+        dropped = reservations[keep:]
+        del reservations[keep:]
+        for res in dropped:
+            self._unindex(res)
         if self._cursor is not None:
             self._cursor._on_remove(dropped)
 
@@ -661,43 +641,25 @@ class AvailabilityProfile:
     def breakpoints(self) -> List[float]:
         """Times at which availability can change, ascending: *now*
         plus every future release/reservation boundary — the sweep
-        cursor's candidate grid."""
-        start = self._now
+        cursor's candidate grid.  The reservation bounds are read off
+        the interval index's two event timelines."""
+        now = self._now
         rel = self._rel_times
-        bounds = self._res_bounds
-        i = bisect_right(rel, start)
-        j = bisect_right(bounds, start)
-        hi = len(rel)
-        bhi = len(bounds)
-        # Two-pointer merge with dedup of the (already sorted) release
-        # and reservation-boundary tails — same list sorted(set(...))
-        # would produce, without hashing every float.
-        out = [start]
-        last = start
-        while i < hi and j < bhi:
-            a, b = rel[i], bounds[j]
-            if a <= b:
-                if a != last:
-                    out.append(a)
-                    last = a
-                i += 1
-            else:
-                if b != last:
-                    out.append(b)
-                    last = b
-                j += 1
-        while i < hi:
-            a = rel[i]
-            if a != last:
-                out.append(a)
-                last = a
-            i += 1
-        while j < bhi:
-            b = bounds[j]
-            if b != last:
-                out.append(b)
-                last = b
-            j += 1
+        tail = rel[bisect_right(rel, now):]
+        if self._reservations:
+            starts = self._res_start_times
+            ends = self._res_end_times
+            tail += starts[bisect_right(starts, now):]
+            tail += ends[bisect_right(ends, now):]
+            tail.sort()  # a merge of three sorted runs
+        # Dedup in order: what sorted(set(...)) would produce, without
+        # hashing every float.
+        out = [now]
+        last = now
+        for t in tail:
+            if t != last:
+                out.append(t)
+                last = t
         return out
 
     @staticmethod
@@ -826,11 +788,10 @@ class SweepCursor:
             # the active set is unchanged, so the state is identical).
             hi = bisect_right(p._res_start_times, t_eps)
             refs = p._res_start_refs
-            masks = p._res_start_masks
             claimed = 0
             for i in range(hi):
                 if t < refs[i].end - _EPS:
-                    claimed |= masks[i]
+                    claimed |= refs[i].node_mask
             if claimed:
                 state = p._release_mask(k) & ~claimed
                 return state, state.bit_count(), k
@@ -892,9 +853,8 @@ class SweepCursor:
             if self._free:
                 self._insert_point(0)
 
-    def _on_add(self, res: Reservation, mask: int) -> None:
-        """Track a reservation (node mask ``mask``) added to the live
-        profile.
+    def _on_add(self, res: Reservation) -> None:
+        """Track a reservation added to the live profile.
 
         Called by ``add_reservation`` after the reservation is fully
         registered, so direct state computation for new grid points
@@ -910,6 +870,7 @@ class SweepCursor:
                     times.insert(pos, bound)
                     if pos < len(free):
                         self._insert_point(pos)
+        mask = res.node_mask
         if not free or not mask:
             return
         p = self._p
@@ -969,13 +930,11 @@ class SweepCursor:
         """Whether ``t`` is still a merged-timeline breakpoint of the
         current profile (some release time or reservation bound)."""
         p = self._p
-        rel = p._rel_times
-        i = bisect_left(rel, t)
-        if i < len(rel) and rel[i] == t:
-            return True
-        bounds = p._res_bounds
-        i = bisect_left(bounds, t)
-        return i < len(bounds) and bounds[i] == t
+        for timeline in (p._rel_times, p._res_start_times, p._res_end_times):
+            i = bisect_left(timeline, t)
+            if i < len(timeline) and timeline[i] == t:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     def count_at_anchor(self) -> int:
@@ -1066,7 +1025,7 @@ class SweepCursor:
         ks = self._k
         num_res = len(p._reservations)
         start_times = p._res_start_times
-        start_masks = p._res_start_masks
+        start_refs = p._res_start_refs
         # Sliding window-claim mask: the OR of the node masks of the
         # reservations whose start falls strictly inside the current
         # candidate window ``(t, t + duration)``.  Both edges move
@@ -1149,9 +1108,9 @@ class SweepCursor:
                 if left:
                     ws_claim = 0
                     for w in range(wi_lo, wi_hi):
-                        ws_claim |= start_masks[w]
+                        ws_claim |= start_refs[w].node_mask
                 while wi_hi < num_res and start_times[wi_hi] < end_eps:
-                    ws_claim |= start_masks[wi_hi]
+                    ws_claim |= start_refs[wi_hi].node_mask
                     wi_hi += 1
                 if ws_claim:
                     if free is None:
@@ -1222,7 +1181,7 @@ class SweepCursor:
         events: Optional[list] = None
         pool = dict(p._release_pool(k))
         if has_res:
-            res_index = p._res_index
+            res_seq = p._res_seq
             for res in reservations:
                 if res.start <= t_eps and t < res.end - _EPS and res.pool_grants:
                     for pool_id, amount in res.pool_grants:
@@ -1237,7 +1196,7 @@ class SweepCursor:
                     if events is None:
                         events = []
                     events.append(
-                        (res.start, 0, res_index[id(res)], 0,
+                        (res.start, 0, res_seq[id(res)], 0,
                          res.pool_grants, -1)
                     )
             end_times = p._res_end_times
@@ -1250,16 +1209,16 @@ class SweepCursor:
                 for w in range(lo_e, hi_e):
                     res = end_refs[w]
                     events.append(
-                        (res.end, 0, res_index[id(res)], 1,
+                        (res.end, 0, res_seq[id(res)], 1,
                          res.pool_grants, +1)
                     )
             if trial is not None and t_eps < trial.end < end_eps:
-                # The trial's insertion-order index is the one
+                # The trial's registration number is the one
                 # add_reservation would have assigned it: last.
                 if events is None:
                     events = []
                 events.append(
-                    (trial.end, 0, len(reservations), 1,
+                    (trial.end, 0, p._next_seq, 1,
                      trial.pool_grants, +1)
                 )
         pool_min = dict(pool)

@@ -1,4 +1,4 @@
-"""Tests for the hardware model: spec, node, pool, rack, fabric, cluster."""
+"""Tests for the hardware model: spec, node, pool, rack, cluster."""
 
 from __future__ import annotations
 
@@ -417,21 +417,3 @@ class TestCluster:
                 with pytest.raises(AllocationError):
                     cluster.allocate_nodes(next_job, mask_of(ids), local_grant=0)
             check()
-
-
-class TestFabric:
-    def test_single_rack_job_reaches_rack_and_global(self, pooled_cluster):
-        pools = pooled_cluster.fabric.reachable_pools([0, 1, 2])
-        assert [p.pool_id for p in pools] == ["rack0", "global"]
-
-    def test_cross_rack_job_reaches_global_only(self, pooled_cluster):
-        pools = pooled_cluster.fabric.reachable_pools([0, 4])
-        assert [p.pool_id for p in pools] == ["global"]
-
-    def test_pools_for_node_nearest_first(self, pooled_cluster):
-        pools = pooled_cluster.fabric.pools_for_node(5)
-        assert [p.pool_id for p in pools] == ["rack1", "global"]
-
-    def test_no_pools_configured(self, tiny_cluster):
-        assert tiny_cluster.fabric.pools_for_node(0) == []
-        assert tiny_cluster.fabric.reachable_pools([0, 1]) == []

@@ -620,3 +620,123 @@ class TestFoldRegressions:
         assert profile.apply_release(mask_of(a.assigned_nodes), {}, 120.0)
         assert 120.0 in profile.sweep_cursor()._times
         _assert_fold_state(cluster, running, [res], profile)
+
+
+# ----------------------------------------------------------------------
+# the breakpoint grid, derived from the timelines
+# ----------------------------------------------------------------------
+_GRID_OPS = (
+    "add", "remove", "truncate", "clear", "rebase", "start", "release",
+)
+
+
+def _brute_grid(now, running, held):
+    """*now*, then every release time and reservation bound after it,
+    sorted and deduplicated — the grid by definition."""
+    future = {job.start_time + job.walltime for job in running}
+    future |= {bound for res in held for bound in (res.start, res.end)}
+    return [now] + sorted(t for t in future if t > now)
+
+
+class TestGridFromTimelines:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_grid_matches_brute_force_after_every_step(self, data):
+        """The grid has no index of its own: ``breakpoints()`` merges
+        the release timeline with the reservations' start and end
+        timelines, and a live cursor keeps its copy in step through
+        every edit.  Drive one profile through add / remove / truncate
+        / clear / rebase / apply_start / apply_release on the colliding
+        grid (zero-length reservations included) and compare both, and
+        the cursor's ``_is_breakpoint``, with a brute-force set after
+        every step."""
+        cluster = _fuzz_cluster()
+        running = []
+        next_id = 900
+        for i in range(data.draw(st.integers(0, 3), label="initial_jobs")):
+            free = ids_of(cluster.free_mask)
+            count = data.draw(st.integers(1, min(3, len(free))),
+                              label=f"init_count_{i}")
+            est_end = data.draw(st.sampled_from(_FOLD_ENDS),
+                                label=f"init_end_{i}")
+            running.append(_start_job(cluster, next_id, free[:count], {},
+                                      -60.0, est_end))
+            next_id += 1
+        now = 0.0
+        profile = AvailabilityProfile(cluster, running, now, _fuzz_dur)
+        held = []
+        ops = data.draw(st.lists(st.sampled_from(_GRID_OPS),
+                                 min_size=3, max_size=12), label="ops")
+        for step, op in enumerate(ops):
+            cursor = profile.sweep_cursor()
+            depth = data.draw(st.integers(0, len(cursor._times)),
+                              label=f"depth_{step}")
+            if depth:
+                cursor._materialize_to(depth - 1)
+            if op == "add":
+                spec = data.draw(
+                    st.tuples(grid_times, grid_durations,
+                              st.integers(0, 7), st.integers(1, 4),
+                              st.just(0), st.booleans()),
+                    label=f"spec_{step}",
+                )
+                res = _make_reservation(step, spec)
+                profile.add_reservation(res)
+                held.append(res)
+            elif op == "remove" and held:
+                index = data.draw(st.integers(0, len(held) - 1),
+                                  label=f"victim_{step}")
+                profile.remove_reservation(held.pop(index))
+            elif op == "truncate" and held:
+                keep = data.draw(st.integers(0, len(held)),
+                                 label=f"keep_{step}")
+                profile.truncate_reservations(keep)
+                del held[keep:]
+            elif op == "clear":
+                profile.clear_reservations()
+                held.clear()
+            elif op == "rebase":
+                later = data.draw(st.sampled_from(GRID), label=f"now_{step}")
+                valid = later >= now and all(
+                    job.start_time + job.walltime > later for job in running
+                )
+                assert profile.rebase(later) == valid
+                if valid:
+                    now = later
+            elif op == "start":
+                free = ids_of(cluster.free_mask)
+                if not free:
+                    continue
+                count = data.draw(st.integers(1, min(3, len(free))),
+                                  label=f"count_{step}")
+                est_end = data.draw(
+                    st.sampled_from([t for t in _FOLD_ENDS if t > now]),
+                    label=f"end_{step}",
+                )
+                job = _start_job(cluster, next_id, free[:count], {}, now,
+                                 est_end)
+                next_id += 1
+                running.append(job)
+                profile.apply_start(mask_of(job.assigned_nodes), {}, est_end)
+            elif op == "release" and running:
+                victim = running.pop(
+                    data.draw(st.integers(0, len(running) - 1),
+                              label=f"release_{step}")
+                )
+                cluster.release_nodes(victim.job_id)
+                assert profile.apply_release(
+                    mask_of(victim.assigned_nodes), {},
+                    victim.start_time + victim.walltime,
+                )
+            want = _brute_grid(now, running, held)
+            assert profile.breakpoints() == want, f"{op} at step {step}"
+            live = profile._cursor
+            if live is not None:  # the edit patched the cursor in place
+                assert live._times == want, f"live cursor after {op}"
+            assert profile.sweep_cursor()._times == want
+            bounds = {b for res in held for b in (res.start, res.end)}
+            known = {job.start_time + job.walltime for job in running} | bounds
+            for t in set(GRID) | set(_FOLD_ENDS) | bounds:
+                assert profile.sweep_cursor()._is_breakpoint(t) == (
+                    t in known
+                ), f"_is_breakpoint({t}) after {op}"
