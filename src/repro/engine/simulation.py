@@ -13,8 +13,8 @@ PassTransaction`): the strategy-visible effects of a start — cluster
 allocation, job lifecycle, the running list — are applied immediately
 through the context callback (strategies and gates must observe live
 state), while the engine-only side effects are deferred to one commit
-at pass end: one ledger append batch, one completion-group push into
-the event calendar, one queue rebuild, and one cluster-version bump.
+at pass end: one ledger append batch, the completion events in start
+order, one queue rebuild, and one cluster-version bump.
 Nothing outside the pass can observe the difference (no event runs
 between the deferral and the commit), so the committed state is
 bit-identical to the historical one-start-at-a-time path — which is
@@ -65,8 +65,7 @@ from ..sched.base import (
     StartDecision,
     pool_pressure,
 )
-from ..sim.engine import Simulator
-from ..sim.events import Event, EventPriority
+from ..sim.engine import EventPriority, Simulator
 from ..workload.job import Job, JobState
 from . import lifecycle
 from .failures import FailureEvent
@@ -197,8 +196,9 @@ class SchedulerSimulation:
         self._ledger = MemoryLedger()
         self._promises: Dict[int, Promise] = {}
         self._samples: List[Sample] = []
-        self._end_events: Dict[int, Event] = {}
-        self._submit_events: Dict[int, Event] = {}
+        # Calendar handles of each job's pending end and submit events.
+        self._end_events: Dict[int, int] = {}
+        self._submit_events: Dict[int, int] = {}
         self._cycles = 0
         self._pass_requested = False
         self._terminal_count = 0
@@ -219,17 +219,14 @@ class SchedulerSimulation:
             # would have done.
             for job in self.jobs:
                 self._submit_events[job.job_id] = self._sim.schedule_at(
-                    job.submit_time,
-                    self._on_submit,
-                    priority=EventPriority.SUBMIT,
-                    payload=job,
+                    job.submit_time, self._on_submit, EventPriority.SUBMIT, job
                 )
             for failure in self.failures:
                 self._sim.schedule_at(
                     max(failure.time, origin),
                     self._on_node_failure,
-                    priority=EventPriority.KILL,
-                    payload=failure,
+                    EventPriority.KILL,
+                    failure,
                 )
             self._admit_next_from_source()
 
@@ -327,10 +324,7 @@ class SchedulerSimulation:
         if self._first_submit is None or job.submit_time < self._first_submit:
             self._first_submit = job.submit_time
         self._submit_events[job.job_id] = self._sim.schedule_at(
-            job.submit_time,
-            self._on_submit,
-            priority=EventPriority.SUBMIT,
-            payload=job,
+            job.submit_time, self._on_submit, EventPriority.SUBMIT, job
         )
 
     # ------------------------------------------------------------------
@@ -345,29 +339,20 @@ class SchedulerSimulation:
         if self._ran:
             raise SimulationError("simulation already ran; build a new one")
         self._ran = True
+        schedule_at = self._sim.schedule_at
         for job in self.jobs:
-            self._sim.schedule_at(
-                job.submit_time,
-                self._on_submit,
-                priority=EventPriority.SUBMIT,
-                payload=job,
-            )
+            schedule_at(job.submit_time, self._on_submit, EventPriority.SUBMIT, job)
         start = self._sim.now
         for failure in self.failures:
             # Failures before the first submission apply at the start.
-            self._sim.schedule_at(
-                max(failure.time, start),
-                self._on_node_failure,
-                priority=EventPriority.KILL,
-                payload=failure,
+            schedule_at(
+                max(failure.time, start), self._on_node_failure, EventPriority.KILL, failure
             )
         self._admit_next_from_source()
         if self.sample_interval is not None:
             if self.sample_interval <= 0:
                 raise ConfigurationError("sample_interval must be positive")
-            self._sim.schedule_at(
-                self._sim.now, self._on_sample, priority=EventPriority.SAMPLE
-            )
+            schedule_at(start, self._on_sample, EventPriority.SAMPLE)
         self._sim.run(until=until, max_events=self.max_events)
 
         if until is None and self._terminal_count != self._admitted:
@@ -480,10 +465,7 @@ class SchedulerSimulation:
             if self._first_submit is None or job.submit_time < self._first_submit:
                 self._first_submit = job.submit_time
             self._submit_events[job.job_id] = self._sim.schedule_at(
-                job.submit_time,
-                self._on_submit,
-                priority=EventPriority.SUBMIT,
-                payload=job,
+                job.submit_time, self._on_submit, EventPriority.SUBMIT, job
             )
         return batch
 
@@ -505,9 +487,9 @@ class SchedulerSimulation:
             return "already_terminal"
         now = self._sim.now
         if job.state is JobState.PENDING:
-            submit_event = self._submit_events.pop(job_id, None)
-            if submit_event is not None:
-                self._sim.cancel(submit_event)
+            submit_handle = self._submit_events.pop(job_id, None)
+            if submit_handle is not None:
+                self._sim.cancel(submit_handle)
             for index, item in enumerate(self._queue):
                 if item is job:
                     del self._queue[index]
@@ -516,9 +498,9 @@ class SchedulerSimulation:
             self._finalize_terminal(job)
             return "cancelled"
         # RUNNING: exactly the node-failure kill path, minus the drain.
-        end_event = self._end_events.pop(job_id, None)
-        if end_event is not None:
-            self._sim.cancel(end_event)
+        end_handle = self._end_events.pop(job_id, None)
+        if end_handle is not None:
+            self._sim.cancel(end_handle)
         self._release(job)
         lifecycle.kill_job(job, now, reason="cancelled")
         self._finalize_terminal(job)
@@ -593,8 +575,7 @@ class SchedulerSimulation:
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
-    def _on_submit(self, event: Event) -> None:
-        job: Job = event.payload
+    def _on_submit(self, job: Job) -> None:
         self._submit_events.pop(job.job_id, None)
         # Chain the next streamed submission into the calendar.  Its
         # submit time is >= this one's, and SUBMIT priority beats the
@@ -608,24 +589,21 @@ class SchedulerSimulation:
         self._queue.append(job)
         self._request_pass()
 
-    def _on_finish(self, event: Event) -> None:
-        job: Job = event.payload
+    def _on_finish(self, job: Job) -> None:
         self._end_events.pop(job.job_id, None)
         self._release(job)
         lifecycle.complete_job(job, self._sim.now)
         self._finalize_terminal(job)
         self._request_pass()
 
-    def _on_kill(self, event: Event) -> None:
-        job: Job = event.payload
+    def _on_kill(self, job: Job) -> None:
         self._end_events.pop(job.job_id, None)
         self._release(job)
         lifecycle.kill_job(job, self._sim.now, reason="walltime")
         self._finalize_terminal(job)
         self._request_pass()
 
-    def _on_node_failure(self, event: Event) -> None:
-        failure = event.payload
+    def _on_node_failure(self, failure: FailureEvent) -> None:
         # Repair completes at the *absolute* time the trace implies,
         # even when the failure itself predates simulation start.
         repair_at = failure.time + failure.repair_time
@@ -636,24 +614,21 @@ class SchedulerSimulation:
         owner = self.cluster.owner_of(failure.node_id)
         if owner is not None:
             victim = next(job for job in self._running if job.job_id == owner)
-            end_event = self._end_events.pop(victim.job_id, None)
-            if end_event is not None:
-                self._sim.cancel(end_event)
+            end_handle = self._end_events.pop(victim.job_id, None)
+            if end_handle is not None:
+                self._sim.cancel(end_handle)
             self._release(victim)
             lifecycle.kill_job(victim, self._sim.now, reason="node_failure")
             self._finalize_terminal(victim)
             self._maybe_resubmit_from_checkpoint(victim)
         self.cluster.take_down(failure.node_id)
         self._sim.schedule_at(
-            repair_at,
-            self._on_node_repair,
-            priority=EventPriority.GENERIC,
-            payload=failure.node_id,
+            repair_at, self._on_node_repair, EventPriority.GENERIC, failure.node_id
         )
         self._request_pass()
 
-    def _on_node_repair(self, event: Event) -> None:
-        self.cluster.bring_up(event.payload)
+    def _on_node_repair(self, node_id: int) -> None:
+        self.cluster.bring_up(node_id)
         self._request_pass()
 
     def _maybe_resubmit_from_checkpoint(self, victim: Job) -> None:
@@ -700,13 +675,10 @@ class SchedulerSimulation:
         self._jobs_by_id[continuation.job_id] = continuation
         self._admitted += 1
         self._sim.schedule_at(
-            self._sim.now,
-            self._on_submit,
-            priority=EventPriority.SUBMIT,
-            payload=continuation,
+            self._sim.now, self._on_submit, EventPriority.SUBMIT, continuation
         )
 
-    def _on_schedule(self, event: Event) -> None:
+    def _on_schedule(self, _payload: None) -> None:
         self._pass_requested = False
         self._cycles += 1
         if not self._queue:
@@ -742,7 +714,7 @@ class SchedulerSimulation:
         if txn is not None and txn.decisions:
             self._commit_pass(txn)
 
-    def _on_sample(self, event: Event) -> None:
+    def _on_sample(self, _payload: None) -> None:
         snap = self.cluster.snapshot()
         self._samples.append(
             Sample(
@@ -756,8 +728,8 @@ class SchedulerSimulation:
             )
         )
         if self._terminal_count < self._admitted or not self.source_exhausted:
-            self._sim.schedule_after(
-                self.sample_interval, self._on_sample, priority=EventPriority.SAMPLE
+            self._sim.schedule_at(
+                self._sim.now + self.sample_interval, self._on_sample, EventPriority.SAMPLE
             )
 
     # ------------------------------------------------------------------
@@ -780,7 +752,7 @@ class SchedulerSimulation:
     def _request_pass(self) -> None:
         if not self._pass_requested:
             self._pass_requested = True
-            self._sim.schedule_now(self._on_schedule, priority=EventPriority.SCHEDULE)
+            self._sim.schedule_at(self._sim.now, self._on_schedule, EventPriority.SCHEDULE)
 
     def _record_promise(self, job_id: int, promised_start: float) -> None:
         if job_id not in self._promises:
@@ -831,20 +803,20 @@ class SchedulerSimulation:
         _remove_by_identity(self._queue, job)
         self._schedule_end_event(job, now)
 
-    def _end_event_spec(self, job: Job, now: float) -> tuple:
-        """(time, callback, priority, payload) for a started job's
-        completion — a kill at the policy bound, or a natural finish."""
+    def _schedule_end_event(self, job: Job, now: float) -> None:
+        """Put a started job's completion in the calendar: a kill at
+        the policy bound, or a natural finish."""
         bound = lifecycle.kill_bound(job, self.scheduler.kill_policy)
         dilated_runtime = job.dilated_runtime
         if bound is not None and dilated_runtime > bound + _EPS:
-            return (now + bound, self._on_kill, EventPriority.KILL, job)
-        return (now + dilated_runtime, self._on_finish, EventPriority.FINISH, job)
-
-    def _schedule_end_event(self, job: Job, now: float) -> None:
-        time, callback, priority, payload = self._end_event_spec(job, now)
-        self._end_events[job.job_id] = self._sim.schedule_at(
-            time, callback, priority=priority, payload=payload
-        )
+            handle = self._sim.schedule_at(
+                now + bound, self._on_kill, EventPriority.KILL, job
+            )
+        else:
+            handle = self._sim.schedule_at(
+                now + dilated_runtime, self._on_finish, EventPriority.FINISH, job
+            )
+        self._end_events[job.job_id] = handle
 
     def _commit_pass(self, txn: PassTransaction) -> None:
         """Batch-apply the deferred effects of one pass's starts.
@@ -853,9 +825,8 @@ class SchedulerSimulation:
         fire, so the committed state — ledger entry order, completion
         event times/priorities/sequence numbers, queue content — is
         bit-identical to the sequential path's.  What changes is the
-        cost shape: one ledger append batch, one queue rebuild instead
-        of one identity scan per start, and one completion-group push
-        into the calendar instead of k interleaved heap operations.
+        cost shape: one ledger append batch and one queue rebuild
+        instead of one identity scan per start.
         """
         decisions = txn.decisions
         now = self._sim.now
@@ -877,12 +848,8 @@ class SchedulerSimulation:
         self._queue = [
             job for job in self._queue if job.state is JobState.PENDING
         ]
-        events = self._sim.schedule_batch(
-            [self._end_event_spec(decision.job, now) for decision in decisions]
-        )
-        end_events = self._end_events
-        for decision, end_event in zip(decisions, events):
-            end_events[decision.job.job_id] = end_event
+        for decision in decisions:
+            self._schedule_end_event(decision.job, now)
 
     def _release(self, job: Job) -> None:
         version_before = self.cluster.version

@@ -81,6 +81,18 @@ def _job_from_dict(doc: Dict) -> Job:
     )
 
 
+def _handlers(sim: "SchedulerSimulation") -> Dict:
+    """The engine's calendar handlers by snapshot event kind."""
+    return {
+        "submit": sim._on_submit,
+        "finish": sim._on_finish,
+        "kill": sim._on_kill,
+        "failure": sim._on_node_failure,
+        "repair": sim._on_node_repair,
+        "schedule": sim._on_schedule,
+    }
+
+
 def checkpoint_engine(sim: "SchedulerSimulation") -> Dict:
     """Serialize an online engine to a JSON-able snapshot document.
 
@@ -101,39 +113,28 @@ def checkpoint_engine(sim: "SchedulerSimulation") -> Dict:
             "cannot checkpoint while a job source is still streaming"
         )
 
+    kinds = {handler: kind for kind, handler in _handlers(sim).items()}
     events: List[Dict] = []
-    for event in sim._sim.pending():
-        callback = event.callback
-        if callback == sim._on_submit:
-            kind, ref = "submit", event.payload.job_id
-        elif callback == sim._on_finish:
-            kind, ref = "finish", event.payload.job_id
-        elif callback == sim._on_kill:
-            kind, ref = "kill", event.payload.job_id
-        elif callback == sim._on_node_failure:
-            failure: FailureEvent = event.payload
-            kind = "failure"
+    for time, priority, seq, handler, payload in sim._sim.pending():
+        kind = kinds.get(handler)
+        if kind in ("submit", "finish", "kill"):
+            ref = payload.job_id
+        elif kind == "failure":
             ref = {
-                "time": failure.time,
-                "node_id": failure.node_id,
-                "repair_time": failure.repair_time,
+                "time": payload.time,
+                "node_id": payload.node_id,
+                "repair_time": payload.repair_time,
             }
-        elif callback == sim._on_node_repair:
-            kind, ref = "repair", event.payload
-        elif callback == sim._on_schedule:
-            kind, ref = "schedule", None
+        elif kind == "repair":
+            ref = payload
+        elif kind == "schedule":
+            ref = None
         else:  # pragma: no cover - future-proofing guard
             raise SimulationError(
-                f"cannot checkpoint unknown calendar event {callback!r}"
+                f"cannot checkpoint unknown calendar event {handler!r}"
             )
         events.append(
-            {
-                "time": event.time,
-                "priority": event.priority,
-                "seq": event.seq,
-                "kind": kind,
-                "ref": ref,
-            }
+            {"time": time, "priority": priority, "seq": seq, "kind": kind, "ref": ref}
         )
 
     return {
@@ -289,14 +290,7 @@ def restore_engine(
 
     # Calendar: re-enter every live event under its original key so
     # the restored run loop fires the identical total order.
-    handlers = {
-        "submit": sim._on_submit,
-        "finish": sim._on_finish,
-        "kill": sim._on_kill,
-        "failure": sim._on_node_failure,
-        "repair": sim._on_node_repair,
-        "schedule": sim._on_schedule,
-    }
+    handlers = _handlers(sim)
     sim._pass_requested = False
     for doc in snapshot["events"]:
         kind = doc["kind"]
@@ -316,13 +310,13 @@ def restore_engine(
             sim._pass_requested = True
         else:
             raise SimulationError(f"unknown snapshot event kind {kind!r}")
-        event = sim._sim.schedule_raw(
+        handle = sim._sim.restore_event(
             doc["time"], doc["priority"], doc["seq"], handlers[kind], payload
         )
         if kind == "submit":
-            sim._submit_events[payload.job_id] = event
+            sim._submit_events[payload.job_id] = handle
         elif kind in ("finish", "kill"):
-            sim._end_events[payload.job_id] = event
+            sim._end_events[payload.job_id] = handle
     sim._sim.restore_clock(snapshot["clock"])
 
     policy_state = snapshot.get("queue_policy")

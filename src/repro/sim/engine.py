@@ -1,224 +1,154 @@
-"""The simulation run loop.
+"""The event calendar and its run loop.
 
-:class:`Simulator` owns the clock and the event calendar.  Client code
-schedules callbacks at absolute times or delays and then calls
-:meth:`Simulator.run`.  The kernel is intentionally minimal — no
-processes, no channels — because the batch-scheduling engine built on
-top (:mod:`repro.engine.simulation`) is naturally event-oriented:
-everything happens at job submission and completion instants.
+:class:`Simulator` owns the clock and one ``heapq`` of plain
+``(time, priority, seq, handler, payload)`` tuples.  Events fire in
+``(time, priority, seq)`` order — a strict total order, since ``seq``
+is unique — and a firing calls ``handler(payload)``.  Python heaps are
+not stable, so ``seq`` (an insertion counter) is what makes two runs of
+the same inputs fire identically.
+
+:meth:`Simulator.schedule_at` is the one scheduling door.  It returns
+the event's ``seq`` as its handle, and the handles of pending events
+form a set: :meth:`Simulator.cancel` drops a handle from it in O(1),
+and the run loop skips a popped entry whose handle is no longer there.
+Snapshot restore re-enters checkpointed entries through
+:meth:`Simulator.restore_event`.
 """
 
 from __future__ import annotations
 
+import enum
+import heapq
+import sys
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from .events import Event, EventPriority
-from .queue import EventQueue
 
-__all__ = ["Simulator"]
+__all__ = ["EventPriority", "Simulator"]
+
+_heappush = heapq.heappush
+
+
+class EventPriority(enum.IntEnum):
+    """Intra-instant processing order for the batch engine; lower fires
+    first.
+
+    At one instant, resources freed by finishing or killed jobs must be
+    visible to the scheduling pass, and newly submitted jobs must be in
+    the queue before that pass runs; hence FINISH < KILL < SUBMIT <
+    SCHEDULE.  Samples see the instant's settled state.
+    """
+
+    FINISH = 0
+    KILL = 1
+    SUBMIT = 2
+    SCHEDULE = 3
+    SAMPLE = 4
+    GENERIC = 5
 
 
 class Simulator:
-    """Discrete-event simulator with a deterministic event calendar."""
+    """Discrete-event simulator with a deterministic event calendar.
+
+    ``now`` is the clock; ``events_processed`` counts fired events and
+    is carried through :meth:`restore_clock`, so a restored engine
+    continues its predecessor's count.
+    """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
-        self._queue = EventQueue()
+        self.now = float(start_time)
+        self.events_processed = 0
+        self._heap: list = []
+        # Handles of the pending, not cancelled, events.  A cancelled
+        # entry stays in the heap until it is popped and skipped.
+        self._live: set = set()
         self._seq = 0
         self._running = False
-        self._events_processed = 0
-
-    # ------------------------------------------------------------------
-    # clock & introspection
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue)
+        """Live (not cancelled) events in the calendar."""
+        return len(self._live)
 
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
     def schedule_at(
         self,
         time: float,
-        callback: Callable[[Event], None],
-        *,
+        handler: Callable[[Any], None],
         priority: int = EventPriority.GENERIC,
         payload: Any = None,
-    ) -> Event:
-        """Schedule ``callback`` at absolute simulation time ``time``.
+    ) -> int:
+        """Schedule ``handler(payload)`` at absolute time ``time``;
+        returns the event's handle.
 
-        Scheduling in the past is an error; scheduling *at* the current
-        instant is allowed (the event fires after the current callback
-        returns, ordered by priority/sequence).
+        Scheduling in the past or at NaN is an error; scheduling *at*
+        the current instant is allowed (the event fires after the
+        current handler returns, ordered by priority and seq).
         """
-        if time != time:  # NaN check without a math-module call
-            raise SimulationError("cannot schedule event at NaN time")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
-            )
-        event = Event(
-            time=float(time),
-            priority=int(priority),
-            seq=self._seq,
-            callback=callback,
-            payload=payload,
-        )
-        self._seq += 1
-        self._queue.push(event)
-        return event
-
-    def schedule_now(
-        self,
-        callback: Callable[[Event], None],
-        *,
-        priority: int = EventPriority.GENERIC,
-        payload: Any = None,
-    ) -> Event:
-        """Schedule ``callback`` at the current instant (fast path).
-
-        Equivalent to ``schedule_at(self.now, ...)`` without the
-        past/NaN validation — the current clock is always a legal
-        time.  Hot callers (the per-event scheduling-pass request) use
-        this to skip per-call checks.
-        """
-        event = Event(
-            time=self._now,
-            priority=int(priority),
-            seq=self._seq,
-            callback=callback,
-            payload=payload,
-        )
-        self._seq += 1
-        self._queue.push(event)
-        return event
-
-    def schedule_batch(
-        self,
-        specs: list,
-    ) -> list:
-        """Schedule a batch of callbacks in one calendar operation.
-
-        ``specs`` is a list of ``(time, callback, priority, payload)``
-        tuples; sequence numbers are assigned in list order, so the
-        resulting events are indistinguishable — times, priorities,
-        and seqs — from consecutive :meth:`schedule_at` calls.  The
-        engine's pass commit uses this to push one pass's completion
-        group with a single calendar walk.
-        """
-        events = []
-        seq = self._seq
-        now = self._now
-        for time, callback, priority, payload in specs:
-            if time != time:  # NaN check without a math-module call
+        if not time >= self.now:  # also rejects NaN
+            if time != time:
                 raise SimulationError("cannot schedule event at NaN time")
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule event at t={time} "
-                    f"before current time t={now}"
-                )
-            events.append(
-                Event(
-                    time=float(time),
-                    priority=int(priority),
-                    seq=seq,
-                    callback=callback,
-                    payload=payload,
-                )
+            raise SimulationError(
+                f"cannot schedule event at t={time} "
+                f"before current time t={self.now}"
             )
-            seq += 1
-        self._seq = seq
-        self._queue.push_many(events)
-        return events
+        seq = self._seq
+        self._seq = seq + 1
+        self._live.add(seq)
+        _heappush(self._heap, (float(time), priority, seq, handler, payload))
+        return seq
 
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[[Event], None],
-        *,
-        priority: int = EventPriority.GENERIC,
-        payload: Any = None,
-    ) -> Event:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(
-            self._now + delay, callback, priority=priority, payload=payload
-        )
-
-    def cancel(self, event: Event) -> None:
-        self._queue.cancel(event)
+    def cancel(self, handle: int) -> None:
+        """Keep a pending event from firing.  A handle that already
+        fired, was never issued or is already cancelled is ignored."""
+        self._live.discard(handle)
 
     # ------------------------------------------------------------------
     # checkpoint support
     # ------------------------------------------------------------------
-    def pending(self) -> list[Event]:
-        """Every live calendar event in ``(time, priority, seq)`` order.
+    def pending(self) -> list:
+        """Every live ``(time, priority, seq, handler, payload)`` entry
+        in firing order; the calendar is untouched."""
+        live = self._live
+        return sorted(entry for entry in self._heap if entry[2] in live)
 
-        Read-only: the calendar is untouched.  The engine checkpoint
-        layer (:mod:`repro.engine.snapshot`) serializes these.
+    def restore_event(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        handler: Callable[[Any], None],
+        payload: Any,
+    ) -> int:
+        """Re-enter a checkpointed event under its exact original key.
+
+        Only snapshot restore calls this, before the run loop starts;
+        the counter is restored separately through :meth:`restore_clock`.
         """
-        return self._queue.live_events()
+        if self._running:
+            raise SimulationError("cannot restore events into a running simulator")
+        self._live.add(seq)
+        _heappush(self._heap, (float(time), priority, seq, handler, payload))
+        return seq
 
     def clock_state(self) -> dict:
         """The scalar clock state a checkpoint must carry."""
         return {
-            "now": self._now,
+            "now": self.now,
             "seq": self._seq,
-            "events_processed": self._events_processed,
+            "events_processed": self.events_processed,
         }
 
     def restore_clock(self, state: dict) -> None:
         """Set the clock scalars from a checkpoint.
 
-        ``seq`` must be at least as large as every restored event's
-        sequence number, so post-restore scheduling continues the
-        original total order.
+        ``seq`` must exceed every restored event's, so post-restore
+        scheduling continues the original total order.
         """
         if self._running:
             raise SimulationError("cannot restore a running simulator")
-        self._now = float(state["now"])
+        self.now = float(state["now"])
         self._seq = int(state["seq"])
-        self._events_processed = int(state["events_processed"])
-
-    def schedule_raw(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[Event], None],
-        payload: Any = None,
-    ) -> Event:
-        """Re-enter a checkpointed event with its exact original key.
-
-        Restore-only: preserving ``(time, priority, seq)`` verbatim is
-        what makes the restored calendar fire in the identical order —
-        the run loop's total order is the key, nothing else.  ``seq``
-        is taken as given and the counter is not advanced; the caller
-        restores the counter through :meth:`restore_clock`.
-        """
-        if self._running:
-            raise SimulationError("cannot restore events into a running simulator")
-        event = Event(
-            time=float(time),
-            priority=int(priority),
-            seq=int(seq),
-            callback=callback,
-            payload=payload,
-        )
-        self._queue.push(event)
-        return event
+        self.events_processed = int(state["events_processed"])
 
     # ------------------------------------------------------------------
     # run loop
@@ -228,70 +158,42 @@ class Simulator:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Process events in order until the calendar empties.
+        """Fire events in order until the calendar empties.
 
-        ``until`` stops the clock at that time: events strictly later
-        stay in the calendar and the clock is advanced to ``until``.
-        ``max_events`` guards against runaway feedback loops (each
-        processed event counts).  Returns the final clock value.
+        ``until`` stops the clock at that time: later events stay in
+        the calendar and the clock advances to ``until``.
+        ``max_events`` bounds the cumulative ``events_processed``
+        against runaway feedback loops.  Returns the final clock.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
+        heap = self._heap
+        unlive = self._live.remove
+        pop = heapq.heappop
+        bounded = until is not None
+        limit = max_events if max_events is not None else sys.maxsize
+        processed = self.events_processed
         try:
-            # Only a time bound needs the peek-then-pop dance;
-            # max_events alone is checked after the callback, so the
-            # direct-pop fast path covers it too.  Events are popped
-            # in same-(time, priority) groups: the group members are
-            # already mutually ordered, so the heap is consulted once
-            # per group instead of once per event — with two guards
-            # that keep the semantics exactly sequential: a member
-            # cancelled by an earlier member's callback is skipped
-            # (as a lazy-cancelled heap entry would have been), and if
-            # a callback schedules an event that sorts before the
-            # remaining members, they go back to the calendar and the
-            # newcomer runs first.
-            bounded = until is not None
-            queue = self._queue
-            while queue:
-                if bounded:
-                    event = queue.peek()
-                    if event.time > until:
-                        break
-                group = queue.pop_group()
-                for index, event in enumerate(group):
-                    if index:
-                        if event.cancelled:
-                            continue
-                        head = queue.peek_key()
-                        if head is not None and head < (
-                            event.time, event.priority, event.seq
-                        ):
-                            for later in group[index:]:
-                                if not later.cancelled:
-                                    queue.push(later)
-                            break
-                    self._now = event.time
-                    self._events_processed += 1
-                    event.callback(event)
-                    if (
-                        max_events is not None
-                        and self._events_processed >= max_events
-                    ):
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "likely a scheduling feedback loop"
-                        )
-            if until is not None and self._now < until:
-                self._now = until
-            return self._now
+            while heap:
+                if bounded and heap[0][0] > until:
+                    break
+                time, _, seq, handler, payload = pop(heap)
+                try:
+                    unlive(seq)
+                except KeyError:  # cancelled
+                    continue
+                self.now = time
+                processed += 1
+                handler(payload)
+                if processed >= limit:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "likely a scheduling feedback loop"
+                    )
+            if bounded and self.now < until:
+                self.now = until
+            return self.now
         finally:
+            self.events_processed = processed
             self._running = False
-
-    def step(self) -> Event:
-        """Process exactly one event (test/debug helper)."""
-        event = self._queue.pop()
-        self._now = event.time
-        self._events_processed += 1
-        event.callback(event)
-        return event

@@ -15,10 +15,7 @@ mid-pass state — the part that must *not* be deferred), and
 node-failure drains with checkpoint restarts.  A hypothesis layer
 fuzzes workload shapes beyond the parametrized grid.
 
-The sim-layer batch primitives (``push_many`` / ``pop_group`` /
-``schedule_batch``) and the cluster version batch get direct unit
-tests, including the popped-event cancellation accounting the group
-run loop depends on.
+The cluster version batch gets direct unit tests.
 """
 
 from __future__ import annotations
@@ -37,9 +34,6 @@ from repro.engine.simulation import SchedulerSimulation
 from repro.errors import AllocationError
 from repro.memdis.ledger import MemoryLedger
 from repro.sched.base import PassTransaction, build_scheduler
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventPriority
-from repro.sim.queue import EventQueue
 from repro.units import GiB, HOUR
 from repro.workload import Job
 
@@ -214,134 +208,6 @@ class TestBatchApplyEquivalence:
         _run_batch_vs_sequential(
             _spec(kind), jobs, queue=queue, backfill=backfill
         )
-
-
-# ----------------------------------------------------------------------
-# sim-layer batch primitives
-# ----------------------------------------------------------------------
-
-
-def _event(time, priority, seq, log, tag):
-    return Event(
-        time=time, priority=priority, seq=seq,
-        callback=lambda e: log.append(tag), payload=tag,
-    )
-
-
-class TestEventQueueBatch:
-    def test_push_many_matches_push_order(self):
-        rng = random.Random(7)
-        specs = [
-            (rng.choice((1.0, 2.0, 3.0)), rng.randrange(3), seq)
-            for seq in range(40)
-        ]
-        one, many = EventQueue(), EventQueue()
-        for t, p, s in specs:
-            one.push(_event(t, p, s, [], s))
-        many.push_many([_event(t, p, s, [], s) for t, p, s in specs])
-        assert [e.seq for e in one.drain()] == [e.seq for e in many.drain()]
-
-    def test_push_many_heapify_path(self):
-        # A batch larger than the standing heap takes the heapify arm.
-        queue = EventQueue()
-        queue.push(_event(5.0, 0, 99, [], 99))
-        queue.push_many([_event(float(i), 0, i, [], i) for i in range(8)])
-        assert len(queue) == 9
-        assert [e.seq for e in queue.drain()] == [0, 1, 2, 3, 4, 5, 99, 6, 7]
-
-    def test_pop_group_same_instant_priority(self):
-        queue = EventQueue()
-        for seq, (t, p) in enumerate([(1.0, 0), (1.0, 0), (1.0, 1), (2.0, 0)]):
-            queue.push(_event(t, p, seq, [], seq))
-        group = queue.pop_group()
-        assert [e.seq for e in group] == [0, 1]
-        assert len(queue) == 2
-
-    def test_cancel_popped_event_keeps_live_count(self):
-        queue = EventQueue()
-        events = [_event(1.0, 0, seq, [], seq) for seq in range(3)]
-        for event in events:
-            queue.push(event)
-        group = queue.pop_group()
-        assert len(group) == 3 and len(queue) == 0
-        # Cancelling an already-popped member must not touch the count
-        # (it no longer occupies the heap).
-        queue.cancel(group[1])
-        assert len(queue) == 0
-        # Re-pushed events are live again, cancelled ones stay out.
-        queue.push(group[2])
-        assert len(queue) == 1
-
-    def test_peek_key_skips_cancelled(self):
-        queue = EventQueue()
-        first = _event(1.0, 0, 0, [], 0)
-        queue.push(first)
-        queue.push(_event(2.0, 1, 1, [], 1))
-        queue.cancel(first)
-        assert queue.peek_key() == (2.0, 1, 1)
-        assert EventQueue().peek_key() is None
-
-
-class TestSimulatorBatch:
-    def test_schedule_batch_equals_sequential_schedule_at(self):
-        log_a, log_b = [], []
-        sim_a = Simulator()
-        for i in range(4):
-            sim_a.schedule_at(
-                float(i % 2), lambda e, i=i: log_a.append(i),
-                priority=EventPriority.GENERIC,
-            )
-        sim_b = Simulator()
-        sim_b.schedule_batch([
-            (float(i % 2), lambda e, i=i: log_b.append(i),
-             EventPriority.GENERIC, None)
-            for i in range(4)
-        ])
-        assert sim_a.run() == sim_b.run()
-        assert log_a == log_b
-
-    def test_schedule_batch_validates_times(self):
-        sim = Simulator(start_time=10.0)
-        with pytest.raises(Exception):
-            sim.schedule_batch([(5.0, lambda e: None, 0, None)])
-        with pytest.raises(Exception):
-            sim.schedule_batch([(float("nan"), lambda e: None, 0, None)])
-
-    def test_group_run_preserves_callback_insertions(self):
-        """A callback scheduling a lower-priority same-instant event
-        must see it run after the whole group — and a *higher*-sorting
-        insertion must pre-empt the rest of the group."""
-        log = []
-        sim = Simulator()
-
-        def first(event):
-            log.append("first")
-            # Sorts after the remaining group member (same time and
-            # priority, higher seq) — runs third.
-            sim.schedule_at(0.0, lambda e: log.append("late"),
-                            priority=EventPriority.GENERIC)
-
-        sim.schedule_at(0.0, first, priority=EventPriority.GENERIC)
-        sim.schedule_at(0.0, lambda e: log.append("second"),
-                        priority=EventPriority.GENERIC)
-        sim.run()
-        assert log == ["first", "second", "late"]
-
-    def test_group_member_cancelled_mid_group_is_skipped(self):
-        log = []
-        sim = Simulator()
-        holder = {}
-
-        def killer(event):
-            log.append("killer")
-            sim.cancel(holder["victim"])
-
-        # Killer scheduled first (lower seq) so both land in one
-        # popped group with the victim behind it.
-        sim.schedule_at(1.0, killer)
-        holder["victim"] = sim.schedule_at(1.0, lambda e: log.append("victim"))
-        sim.run()
-        assert log == ["killer"]
 
 
 # ----------------------------------------------------------------------
