@@ -259,6 +259,13 @@ def _check_nodes(result: "SimulationResult", report: AuditReport) -> None:
                 ))
                 continue
             node_events = events.setdefault(node_id, [])
+            if job.end_time == job.start_time:
+                # A zero-length hold (killed at its start instant) sits
+                # between the instant's releases and grants: a job the
+                # same instant's later pass starts there is not charged
+                # with it.
+                node_events.append((job.start_time, 0, job.job_id))
+                continue
             node_events.append((job.start_time, +1, job.job_id))
             node_events.append((job.end_time, -1, job.job_id))
     if assignments:
@@ -279,7 +286,8 @@ def _check_nodes(result: "SimulationResult", report: AuditReport) -> None:
                     f"starts while job {other} still holds it",
                     job_id=job_id, node_id=node_id, time=time,
                 ))
-            holders.add(job_id)
+            if delta:
+                holders.add(job_id)
 
     windows = _effective_down_windows(result.failures, result.started_at)
     for failure, window in zip(result.failures, windows):

@@ -80,6 +80,8 @@ __all__ = [
 ]
 
 _OP_TIMEOUT_S = 60.0
+#: Op kinds that change engine state and so are journaled.
+_MUTATIONS = ("cancel", "advance")
 
 
 def default_service_config() -> ExperimentConfig:
@@ -170,7 +172,7 @@ class ServiceConfig:
     #: is spent on it.  0 = no deadline.
     deadline_s: float = 0.0
     #: How many idempotency-key outcomes to remember for retry
-    #: deduplication (an LRU window; old entries age out).
+    #: deduplication (old entries age out in first-use order).
     dedup_window: int = 1024
     #: Replay-mode group-commit window, seconds, applied only when
     #: durable: after the first op of a drain arrives, the drain is
@@ -320,10 +322,12 @@ class SchedulerService:
         self._batch_sizes: List[int] = []
         self._next_auto_id = 1
         #: key -> (kind, outcome, request fingerprint) with kind
-        #: "submit" (outcome: [job ids]) or "cancel" (outcome dict); an
-        #: LRU window bounded by ``config.dedup_window``.  The
-        #: fingerprint is None for entries restored from state written
-        #: before fingerprints were kept.
+        #: "submit" (outcome: [job ids]) or "cancel" (outcome dict); a
+        #: window bounded by ``config.dedup_window`` that ages out in
+        #: first-use order.  A retry does not refresh its entry: the
+        #: journal never sees retries, so recovery could not rebuild
+        #: that order.  The fingerprint is None for entries restored
+        #: from state written before fingerprints were kept.
         self._dedup: "OrderedDict[str, Tuple[str, Any, Optional[str]]]" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -341,7 +345,9 @@ class SchedulerService:
         Recovery is snapshot + journal-suffix replay: the newest
         readable engine snapshot is restored onto a fresh cluster and
         scheduler, then every journal record appended after it is
-        re-applied through the same batching the live path uses.  The
+        re-applied through the functions the live drain applied it with
+        (:meth:`_apply_admissions`, then :meth:`_apply_post` per entry,
+        each failing exactly as it failed live).  The
         state directory is fingerprinted against the experiment config
         — replaying a journal against a different machine is refused.
         """
@@ -366,7 +372,13 @@ class SchedulerService:
             service._load_service_state(service_state)
         records = store.replay(covered)
         for _seq, body in records:
-            service._replay_record(body)
+            service._apply_admissions(body)
+            for entry in body["post"]:
+                try:
+                    service._apply_post(entry)
+                except ProtocolError:
+                    pass  # failed live, fails identically here
+            service.counters.journal_records += 1
         service.recovery = {
             "snapshot_seq": covered,
             "replayed_records": len(records),
@@ -395,65 +407,69 @@ class SchedulerService:
                 setattr(self.counters, name, value)
 
     def _register_dedup(
-        self, key: Optional[str], kind: str, payload: Any, fingerprint: Optional[str]
+        self, key: Optional[str], kind: str, outcome: Any, fingerprint: Optional[str]
     ) -> None:
         if key is None or self.config.dedup_window == 0:
             return
-        self._dedup[key] = (kind, payload, fingerprint)
-        self._dedup.move_to_end(key)
+        self._dedup[key] = (kind, outcome, fingerprint)
         while len(self._dedup) > self.config.dedup_window:
             self._dedup.popitem(last=False)
 
-    def _replay_record(self, body: Dict[str, Any]) -> None:
-        """Re-apply one journal record exactly as the live path did.
+    def _apply_admissions(self, body: Dict[str, Any]) -> None:
+        """Apply the batch half of one journal record.
 
-        All submit groups re-enter as **one** injection batch (the
-        pass-transaction batching is part of the decision record, not
-        an implementation detail), the clock advances to the recorded
-        target, and post-batch mutations re-run in arrival order with
-        their original error outcomes swallowed — an op that failed
-        live fails identically on replay.
+        The live drain and recovery both apply every record through
+        here and :meth:`_apply_post`, so a recovered service cannot
+        decide differently from the live one.  All submit groups enter
+        the engine as **one** injection batch (the pass-transaction
+        batching is part of the decision record, not an implementation
+        detail), the auto-id counter moves past the admitted ids, the
+        clock runs to the recorded target (the current instant when
+        there is none), and the groups' keys join the dedup window in
+        arrival order, ahead of the record's post entries.
         """
-        jobs: List[Job] = []
-        for group in body["submits"]:
-            for spec in group["jobs"]:
-                jobs.append(Job(**spec))
+        groups = body["submits"]
+        jobs = [Job(**spec) for group in groups for spec in group["jobs"]]
         if jobs:
             self.engine.inject_jobs(jobs)
             self.counters.batches += 1
             self.counters.submitted += len(jobs)
             self.counters.admitted += len(jobs)
-            for job in jobs:
-                if job.job_id >= self._next_auto_id:
-                    self._next_auto_id = job.job_id + 1
+            self._next_auto_id = max(
+                self._next_auto_id, max(job.job_id for job in jobs) + 1
+            )
         target = body.get("target")
         if target is not None and target > self.engine.now:
             self.engine.advance_to(target)
         else:
+            # Replay mode: fire whatever is due at the current instant
+            # (same-instant submissions and their pass), nothing more.
             self.engine.advance_to(self.engine.now)
-        for entry in body["post"]:
-            kind = entry[0]
-            try:
-                if kind == "cancel":
-                    outcome = self._do_cancel(entry[1])
-                    self._register_dedup(
-                        entry[2],
-                        "cancel",
-                        {"job_id": entry[1], "outcome": outcome["outcome"]},
-                        entry[3] if len(entry) > 3 else None,
-                    )
-                elif kind == "advance":
-                    self._do_advance(entry[1])
-            except ProtocolError:
-                pass  # failed live, fails identically here
-        for group in body["submits"]:
+        for group in groups:
             self._register_dedup(
                 group.get("key"),
                 "submit",
                 [spec["job_id"] for spec in group["jobs"]],
                 group.get("fp"),
             )
-        self.counters.journal_records += 1
+
+    def _apply_post(self, entry: List[Any]) -> Dict[str, Any]:
+        """Apply one post-batch entry of a journal record:
+        ``["advance", to]`` or ``["cancel", job_id, key, fp]`` (records
+        written before fingerprints were kept end at the key).  A keyed
+        cancel joins the dedup window once applied, with its outcome.
+        """
+        if entry[0] == "advance":
+            return self._do_advance(entry[1])
+        _, job_id, key, *fingerprint = entry
+        result = self._do_cancel(job_id)
+        self._register_dedup(
+            key,
+            "cancel",
+            {"job_id": job_id, "outcome": result["outcome"]},
+            fingerprint[0] if fingerprint else None,
+        )
+        return result
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -652,7 +668,9 @@ class SchedulerService:
         return self.config.start_time + elapsed * self.config.speed
 
     def _process(self, batch: List[_Op], wall: bool) -> None:
-        """Apply one inbox drain: shed, dedup, **journal, then apply**.
+        """Apply one inbox drain: shed, resolve keys, **journal, then
+        apply** — through the same :meth:`_apply_admissions` and
+        :meth:`_apply_post` that recovery runs on the journaled record.
 
         The write-ahead discipline: every mutation the drain will apply
         (admitted submit batches, cancels, advances) is appended to the
@@ -661,41 +679,46 @@ class SchedulerService:
         record on recovery; a crash before it means no client was ever
         acknowledged, so the idempotent retry re-submits it.
         """
-        batch = self._shed_expired(batch)
-        fresh, replayed, others, repeats = self._split_dedup(batch)
-        target = self._wall_target() if wall else self.engine.now
-        validated = self._validate_submits(
-            fresh, default_time=max(target, self.engine.now)
+        submits, pending, repeats = self._resolve(self._shed_expired(batch))
+        target = self._wall_target() if wall else None
+        admitted = self._validate_submits(
+            submits,
+            default_time=(
+                self.engine.now if target is None else max(target, self.engine.now)
+            ),
         )
-        self._journal_drain(validated, others, target if wall else None)
+        mutations = [op for op in pending if op.kind in _MUTATIONS]
+        body = {
+            "target": target,
+            "submits": [op.result for op in admitted],
+            "post": [
+                (
+                    ["cancel", op.payload["job_id"], op.payload["key"], op.payload.get("fp")]
+                    if op.kind == "cancel"
+                    else ["advance", op.payload]
+                )
+                for op in mutations
+            ],
+        }
+        if not self._journal(body, admitted + mutations):
+            admitted, body["submits"], body["post"] = [], [], []
+            pending = [op for op in pending if op.kind not in _MUTATIONS]
 
-        admitted = self._inject(validated)
+        self._stamp_admissions(admitted)
         if wall:
             self.counters.ticks += 1
-            if target > self.engine.now:
-                self.engine.advance_to(target)
-            else:
-                self.engine.advance_to(self.engine.now)
-        else:
-            # Replay mode: fire whatever is due at the current instant
-            # (same-instant submissions and their pass), nothing more.
-            self.engine.advance_to(self.engine.now)
+        self._apply_admissions(body)
         self._stamp_decisions()
-        for op in fresh:
-            if op.error is None:
-                self._register_dedup(
-                    op.payload.get("key"),
-                    "submit",
-                    [job.job_id for job in op.result],
-                    op.payload.get("fp"),
-                )
-                op.result = [self._record(job.job_id) for job in op.result]
+        for op in admitted:
+            op.result = [self._record(spec["job_id"]) for spec in op.result["jobs"]]
             op.done.set()
-        for op in replayed:
-            op.done.set()
-        for op in others:
+        entries = iter(body["post"])
+        for op in pending:
             try:
-                op.result = self._dispatch(op)
+                if op.kind in _MUTATIONS:
+                    op.result = self._apply_post(next(entries))
+                else:
+                    op.result = self._read(op)
             except BaseException as exc:  # noqa: BLE001 - per-op isolation
                 op.error = exc
             op.done.set()
@@ -704,7 +727,7 @@ class SchedulerService:
             if first.error is None:
                 self.counters.dedup_hits += 1
             op.done.set()
-        if admitted or others:
+        if admitted or pending:
             self._stamp_decisions()
         self._maybe_checkpoint()
 
@@ -724,57 +747,6 @@ class SchedulerService:
             pass
 
     # ------------------------------------------------------------------
-    def _dedup_lookup(self, op: _Op) -> Optional[Any]:
-        """The stored outcome when ``op`` retries the request its
-        idempotency key was first used for; None for a fresh key.
-
-        A key already used for a different operation or body raises
-        ``409 idempotency_conflict`` and leaves the entry as it was:
-        the op is answered without being journaled or applied.  An
-        entry restored from older state carries no fingerprint and
-        matches any body of the same operation.
-        """
-        key = op.payload.get("key")
-        entry = self._dedup.get(key) if key is not None else None
-        if entry is None:
-            return None
-        kind, stored, fingerprint = entry
-        if kind != op.kind or (
-            fingerprint is not None and fingerprint != op.payload.get("fp")
-        ):
-            raise _key_conflict(key, kind)
-        self.counters.dedup_hits += 1
-        self._dedup.move_to_end(key)
-        return stored
-
-    def _cancel_dedup_hit(self, op: _Op) -> bool:
-        """Resolve a retried keyed cancel from the dedup window.
-
-        Returns True when the op was answered here — the stored
-        outcome, not a second application, or an idempotency
-        conflict — so it must not be journaled or dispatched.
-        """
-        if op.kind != "cancel" or not isinstance(op.payload, dict):
-            return False
-        try:
-            stored = self._dedup_lookup(op)
-        except ProtocolError as exc:
-            op.error = exc
-            op.done.set()
-            return True
-        if stored is None:
-            return False
-        try:
-            op.result = {
-                "job_id": stored["job_id"],
-                "outcome": stored["outcome"],
-                "job": self._record(stored["job_id"]),
-            }
-        except ProtocolError as exc:  # pragma: no cover - aged out
-            op.error = exc
-        op.done.set()
-        return True
-
     def _shed_expired(self, batch: List[_Op]) -> List[_Op]:
         """Deadline budget: fail ops that aged out waiting in the inbox
         before any engine work is spent on them."""
@@ -795,67 +767,66 @@ class SchedulerService:
                 kept.append(op)
         return kept
 
-    def _split_dedup(
+    def _resolve(
         self, batch: List[_Op]
-    ) -> Tuple[List[_Op], List[_Op], List[_Op], List[Tuple[_Op, _Op]]]:
-        """Resolve the drain's idempotency keys, in arrival order.
+    ) -> Tuple[List[_Op], List[_Op], List[Tuple[_Op, _Op]]]:
+        """Resolve the drain's idempotency keys in one pass, in arrival
+        order.
 
-        Returns ``(fresh, replayed, others, repeats)``:
+        Returns ``(submits, pending, repeats)``:
 
-        * ``fresh`` — the submits to validate and apply;
-        * ``replayed`` — submits the dedup window has already seen,
-          answered from the stored outcome (the original job ids,
-          re-rendered as current records) without touching the engine:
-          exactly-once application under client retries;
-        * ``others`` — every other op, to dispatch;
+        * ``submits`` — the submits to validate and admit as one batch;
+        * ``pending`` — every other op, to run in arrival order after
+          the batch;
         * ``repeats`` — ``(op, first)`` pairs where a keyed op repeats
           the request its key was first used for earlier in this same
           drain; ``op`` gets ``first``'s outcome once the drain is
           applied, so it is neither journaled nor applied itself.
 
-        A key reused for a different operation or body, in an earlier
-        drain (see :meth:`_dedup_lookup`) or earlier in this one, fails
-        its op with ``409 idempotency_conflict``.  Such ops, and keyed
-        cancels answered from the window (:meth:`_cancel_dedup_hit`),
-        are answered here and are in no list.
+        A keyed op whose key the dedup window holds is answered here,
+        without touching the engine: a retry of the request the key was
+        first used for gets the stored outcome re-rendered with the
+        jobs' current records (exactly-once application under client
+        retries).  A key reused for a different operation or body, in
+        the window or earlier in this drain, fails its op with ``409
+        idempotency_conflict`` and leaves the first use as it was.  An
+        entry restored from older state carries no fingerprint and
+        matches any body of the same operation.
         """
-        fresh: List[_Op] = []
-        replayed: List[_Op] = []
-        others: List[_Op] = []
+        submits: List[_Op] = []
+        pending: List[_Op] = []
         repeats: List[Tuple[_Op, _Op]] = []
         firsts: Dict[str, _Op] = {}
         for op in batch:
             key = op.payload.get("key") if op.kind in ("submit", "cancel") else None
-            first = firsts.get(key) if key is not None else None
-            if first is not None:
-                if (first.kind, first.payload.get("fp")) == (op.kind, op.payload.get("fp")):
-                    repeats.append((op, first))
-                else:
-                    op.error = _key_conflict(key, first.kind)
-                    op.done.set()
-                continue
-            if op.kind == "submit":
-                try:
-                    stored = self._dedup_lookup(op)
-                except ProtocolError as exc:
-                    op.error = exc
-                    op.done.set()
-                    continue
-                if stored is not None:
-                    try:
-                        op.result = [self._record(job_id) for job_id in stored]
-                    except ProtocolError as exc:  # pragma: no cover - aged out
-                        op.error = exc
-                    replayed.append(op)
-                    continue
-                fresh.append(op)
-            elif self._cancel_dedup_hit(op):
-                continue
-            else:
-                others.append(op)
             if key is not None:
+                first = firsts.get(key)
+                if first is not None:
+                    if (first.kind, first.payload.get("fp")) == (op.kind, op.payload.get("fp")):
+                        repeats.append((op, first))
+                    else:
+                        op.error = _key_conflict(key, first.kind)
+                        op.done.set()
+                    continue
+                entry = self._dedup.get(key)
+                if entry is not None:
+                    kind, stored, fingerprint = entry
+                    if kind != op.kind or (
+                        fingerprint is not None and fingerprint != op.payload.get("fp")
+                    ):
+                        op.error = _key_conflict(key, kind)
+                    else:
+                        self.counters.dedup_hits += 1
+                        op.result = (
+                            [self._record(job_id) for job_id in stored]
+                            if kind == "submit"
+                            else dict(stored, job=self._record(stored["job_id"]))
+                        )
+                    op.done.set()
+                    continue
                 firsts[key] = op
-        return fresh, replayed, others, repeats
+            (submits if op.kind == "submit" else pending).append(op)
+        return submits, pending, repeats
 
     def _validate_submits(
         self, submits: List[_Op], default_time: float
@@ -863,12 +834,14 @@ class SchedulerService:
         """Per-op spec validation, **without** touching the engine.
 
         Failures (bad spec, duplicate id, late arrival) fail that op
-        only; survivors carry their Job objects in ``op.result`` and
-        their resolved request specs in ``op.payload["resolved"]`` for
-        the journal.  Returns the surviving ops.
+        only, and claim no job id: auto ids count on from the ops
+        admitted before it.  Survivors carry their journal submit group
+        (key, fingerprint and fully resolved request specs) in
+        ``op.result``.  Returns the surviving ops.
         """
         validated: List[_Op] = []
-        seen_batch: set = set()
+        taken: set = set()
+        next_id = self._next_auto_id
         for op in submits:
             specs = op.payload.get("specs")
             try:
@@ -877,15 +850,18 @@ class SchedulerService:
                         400, "invalid_request", "submit requires a job list"
                     )
                 jobs: List[Job] = []
+                ids: set = set()
+                op_next = next_id
                 for spec in specs:
                     job = job_from_spec(
                         spec,
-                        default_job_id=self._next_auto_id,
+                        default_job_id=op_next,
                         default_submit_time=default_time,
                     )
                     if (
                         self.engine.job(job.job_id) is not None
-                        or job.job_id in seen_batch
+                        or job.job_id in taken
+                        or job.job_id in ids
                     ):
                         raise ProtocolError(
                             409,
@@ -900,73 +876,45 @@ class SchedulerService:
                             f"behind the service clock t={self.engine.now}",
                         )
                     jobs.append(job)
-                    seen_batch.add(job.job_id)
-                    self._next_auto_id = max(self._next_auto_id, job.job_id + 1)
+                    ids.add(job.job_id)
+                    op_next = max(op_next, job.job_id + 1)
             except ProtocolError as exc:
                 op.error = exc
                 self.counters.rejected_specs += 1
                 op.done.set()
                 continue
-            op.result = jobs  # placeholder; records built post-pass
+            taken |= ids
+            next_id = op_next
+            op.result = {
+                "key": op.payload.get("key"),
+                "fp": op.payload.get("fp"),
+                "jobs": [job_to_request_spec(job) for job in jobs],
+            }
             validated.append(op)
         return validated
 
-    def _journal_drain(
-        self,
-        validated: List[_Op],
-        others: List[_Op],
-        wall_target: Optional[float],
-    ) -> None:
-        """Append this drain's mutations to the journal and fsync.
+    def _journal(self, body: Dict[str, Any], ops: List[_Op]) -> bool:
+        """Append this drain's record to the journal and fsync.
 
         One record per drain — the fsync amortizes over the whole
-        admission batch — and only drains that *mutate* are journaled
-        (query-only drains and empty wall ticks cost nothing).  On a
-        journal write failure every mutating op fails and nothing is
-        applied: the journal is the commit point.
+        admission batch — and only drains that *mutate* (``ops``, the
+        admitted submits, cancels and advances) are journaled:
+        query-only drains and empty wall ticks cost nothing.  On a
+        journal write failure every mutating op fails and False tells
+        the caller to apply nothing: the journal is the commit point.
         """
-        if self._store is None:
-            return
-        mutations = [op for op in others if op.kind in ("cancel", "advance")]
-        if not validated and not mutations:
-            return
-        body = {
-            "target": wall_target,
-            "submits": [
-                {
-                    "key": op.payload.get("key"),
-                    "fp": op.payload.get("fp"),
-                    "jobs": [job_to_request_spec(job) for job in op.result],
-                }
-                for op in validated
-            ],
-            "post": [
-                (
-                    [
-                        "cancel",
-                        op.payload.get("job_id"),
-                        op.payload.get("key"),
-                        op.payload.get("fp"),
-                    ]
-                    if op.kind == "cancel"
-                    else ["advance", op.payload]
-                )
-                for op in mutations
-            ],
-        }
+        if self._store is None or not ops:
+            return True
         try:
             self._store.append(body)
         except Exception as exc:  # noqa: BLE001 - journal is the commit point
             failure = ProtocolError(
                 500, "journal_error", f"could not journal the mutation: {exc}"
             )
-            for op in validated + mutations:
+            for op in ops:
                 op.error = failure
                 op.done.set()
-            validated.clear()
-            for op in mutations:
-                others.remove(op)
-            return
+            return False
         self.counters.journal_records += 1
         self._records_since_snapshot += 1
         if (
@@ -974,31 +922,21 @@ class SchedulerService:
             and self._records_since_snapshot >= self.config.checkpoint_every
         ):
             self._checkpoint_due = True
+        return True
 
-    def _inject(self, validated: List[_Op]) -> List[Job]:
-        """Inject every validated submit as one admission batch."""
-        all_jobs: List[Job] = []
-        for op in validated:
-            all_jobs.extend(op.result)
-        if not all_jobs:
-            return []
-        self.engine.inject_jobs(all_jobs)
+    def _stamp_admissions(self, admitted: List[_Op]) -> None:
+        """Open the latency window of every job this drain admits."""
+        size = sum(len(op.result["jobs"]) for op in admitted)
+        if not size:
+            return
         now_mono = time.monotonic()
-        self.counters.batches += 1
-        self.counters.submitted += len(all_jobs)
-        self.counters.admitted += len(all_jobs)
-        self._batch_sizes.append(len(all_jobs))
-        for op in validated:
-            for job in op.result:
-                timing = _Timing(
-                    received=op.received,
-                    admitted=now_mono,
-                    batch_size=len(all_jobs),
-                )
-                self._timings[job.job_id] = timing
-                self._undecided[job.job_id] = timing
+        self._batch_sizes.append(size)
+        for op in admitted:
+            for spec in op.result["jobs"]:
+                timing = _Timing(received=op.received, admitted=now_mono, batch_size=size)
+                self._timings[spec["job_id"]] = timing
+                self._undecided[spec["job_id"]] = timing
                 self._submit_latencies.append(now_mono - op.received)
-        return all_jobs
 
     def _stamp_decisions(self) -> None:
         """Close the decision-latency window for every submission whose
@@ -1019,17 +957,8 @@ class SchedulerService:
             self._decision_latencies.append(now_mono - timing.received)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, op: _Op) -> Any:
-        if op.kind == "cancel":
-            payload = op.payload if isinstance(op.payload, dict) else {}
-            result = self._do_cancel(payload.get("job_id"))
-            self._register_dedup(
-                payload.get("key"),
-                "cancel",
-                {"job_id": payload.get("job_id"), "outcome": result["outcome"]},
-                payload.get("fp"),
-            )
-            return result
+    def _read(self, op: _Op) -> Any:
+        """Answer one read-only op (query, jobs, advise, state, metrics)."""
         if op.kind == "query":
             self.counters.queries += 1
             return self._do_query(op.payload)
@@ -1047,8 +976,6 @@ class SchedulerService:
             from .state import build_state_document
 
             return build_state_document(self)
-        if op.kind == "advance":
-            return self._do_advance(op.payload)
         if op.kind == "metrics":
             return self._do_metrics()
         raise ProtocolError(400, "unknown_op", f"unknown op {op.kind!r}")

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import ClusterSpec, Cluster, NodeSpec, PoolSpec
 from repro.units import GiB
 from repro.workload import Job
+
+#: ``--hypothesis-profile=ci`` runs the stateful service model
+#: (tests/test_service_model.py) at a budget too large for tier-1.
+settings.register_profile("ci", max_examples=200, deadline=None)
 
 
 def make_job(

@@ -131,6 +131,15 @@ def _mut_node_overlap(result):
     b.assigned_nodes[0] = stolen
 
 
+def _mut_zero_length_inside_hold(result):
+    """A job killed at its start instant, on a node another job holds
+    across that instant."""
+    holder = _completed(result)
+    victim = next(j for j in result.finished if j is not holder)
+    victim.assigned_nodes[0] = holder.assigned_nodes[0]
+    victim.start_time = victim.end_time = (holder.start_time + holder.end_time) / 2
+
+
 def _mut_node_unknown(result):
     _completed(result).assigned_nodes[0] = 999
 
@@ -329,6 +338,8 @@ def _mut_fairshare_overtake(result):
 
 MUTATIONS = [
     ("node-overlap", "easy", "fcfs", _mut_node_overlap, "node-oversubscription"),
+    ("zero-length-inside-hold", "easy", "fcfs", _mut_zero_length_inside_hold,
+     "node-oversubscription"),
     ("node-unknown", "easy", "fcfs", _mut_node_unknown, "node-unknown"),
     ("node-downtime", "easy", "fcfs", _mut_node_downtime, "node-downtime"),
     ("pool-overflow", "easy", "fcfs", _mut_pool_overflow, "pool-oversubscription"),
@@ -386,6 +397,27 @@ def test_pristine_bases_audit_clean():
                             ("none", "fairshare"), ("conservative", "fcfs")):
         report = deep_audit(_base(backfill, queue))
         assert report.ok, (backfill, queue, [str(v) for v in report.errors])
+
+
+def test_zero_length_hold_frees_its_node_at_the_instant():
+    """A job cancelled at its start instant frees its node for the
+    pass that runs at that same instant: the next job starting there
+    is no double booking."""
+    engine = SchedulerSimulation(
+        Cluster(_pooled_spec()), build_scheduler(), [], online=True
+    )
+    engine.inject_jobs([make_job(1, nodes=8)])
+    engine.advance_to(0.0)
+    assert engine.cancel_job(1) == "killed"
+    engine.advance_to(0.0)
+    engine.inject_jobs([make_job(2, nodes=8)])
+    engine.drain()
+    result = engine.online_result()
+    assert [(j.start_time, j.end_time) for j in result.jobs] == [
+        (0.0, 0.0), (0.0, 1800.0)
+    ]
+    report = deep_audit(result)
+    assert report.ok, [str(v) for v in report.errors]
 
 
 def test_checks_counters_prove_coverage():
