@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands::
+Nine subcommands::
 
     dismem-sched run --config experiment.json [--csv out.csv]
         Run one configured experiment, print the summary table, audit
@@ -25,11 +25,6 @@ Four subcommands::
 
     dismem-sched workloads
         List the bundled reference workload mixes.
-
-    dismem-sched perf [--quick] [--out BENCH_PERF.json]
-        Wall-clock performance harness: profile micro-benchmarks,
-        single scheduling passes, end-to-end 10k-job simulations.
-        ``--baseline`` turns it into a regression gate (CI uses it).
 
     dismem-sched serve [--config experiment.json] [--port P]
                        [--state-dir DIR]
@@ -322,7 +317,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from .runner.replay import (
         ReplaySpec,
-        append_replay_history,
         generate_trace,
         replay_trace,
     )
@@ -406,8 +400,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2))
         print(f"replay report written to {args.out}")
-    if args.history:
-        append_replay_history(payload, args.history)
     if args.verify:
         verdict = payload["verify"]
         status = "IDENTICAL" if verdict["identical"] else "MISMATCH"
@@ -446,125 +438,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print()
     print("stranded DRAM fraction:",
           "  ".join(f"{s.label}: {s.stranded_fraction:.1%}" for s in summaries))
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .perf import (
-        append_workers_history,
-        build_cases,
-        case_names,
-        compare_reports,
-        efficiency_regressions,
-        measure_sweep_throughput,
-        render_report,
-        render_throughput,
-        render_workers_trend,
-        run_perf,
-        workers_trend,
-    )
-
-    if args.list:
-        for name in case_names():
-            print(name)
-        return 0
-    try:
-        cases = build_cases(quick=args.quick, scale=args.scale, names=args.case)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    mode = "quick" if args.quick else "full"
-    progress = None if args.quiet else (
-        lambda line: print(line, file=sys.stderr, flush=True)
-    )
-    report = run_perf(
-        cases, mode=mode, repeats_override=args.repeats, progress=progress
-    )
-    payload = report.to_payload()
-    if args.workers:
-        # Sweep-throughput ladder through repro.runner: cells/sec vs
-        # worker count.  Rides along in the payload but never gates —
-        # multiprocess scaling is too host-dependent for CI to judge.
-        jobs_per_cell = max(30, int((60 if args.quick else 120) * args.scale))
-        payload["sweep_throughput"] = measure_sweep_throughput(
-            args.workers,
-            cells=args.sweep_cells,
-            jobs_per_cell=jobs_per_cell,
-            progress=progress,
-        )
-    print(render_report(payload))
-    if args.workers:
-        print()
-        print(render_throughput(payload["sweep_throughput"]))
-        # Efficiency trend tracking: append this ladder to the
-        # history, then flag (never fail on — multiprocess scaling on
-        # shared machines is too noisy to gate) regressions vs the
-        # recorded baseline, the history's first record.  The
-        # ::warning:: prefix makes CI annotate the run.
-        flags = efficiency_regressions(
-            payload["sweep_throughput"], args.workers_history,
-            max_regression=args.max_regression,
-        )
-        record = append_workers_history(
-            payload["sweep_throughput"], args.workers_history
-        )
-        if record is not None:
-            print(f"ladder appended to {args.workers_history}")
-        # The real trend report: per-platform efficiency series over
-        # the whole history (baseline / median / latest per rung), not
-        # just the first-record comparison the warnings use.
-        trend = workers_trend(args.workers_history)
-        if trend is not None:
-            payload["sweep_throughput"]["trend"] = trend
-            print()
-            print(render_workers_trend(trend))
-        for flag in flags:
-            print(
-                f"::warning::sweep parallel efficiency at "
-                f"{flag['workers']} workers regressed "
-                f">{args.max_regression:.0%} vs recorded baseline: "
-                f"{flag['baseline_efficiency']:.0%} -> "
-                f"{flag['current_efficiency']:.0%}",
-                file=sys.stderr,
-            )
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"perf results written to {args.out}")
-    if args.baseline:
-        try:
-            baseline = json.loads(Path(args.baseline).read_text())
-        except OSError as exc:
-            print(f"error: cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 1
-        except json.JSONDecodeError as exc:
-            print(f"error: baseline {args.baseline} is not valid JSON: {exc}",
-                  file=sys.stderr)
-            return 1
-        if baseline.get("mode") != payload["mode"]:
-            print(
-                f"error: baseline mode {baseline.get('mode')!r} does not match "
-                f"this run's mode {payload['mode']!r}; regenerate the baseline",
-                file=sys.stderr,
-            )
-            return 1
-        regressions = compare_reports(
-            payload, baseline, max_regression=args.max_regression
-        )
-        if regressions:
-            print(
-                f"PERF REGRESSION (> {args.max_regression:.0%} vs "
-                f"{args.baseline}, normalized):",
-                file=sys.stderr,
-            )
-            for reg in regressions:
-                print(
-                    f"  {reg['case']}: {reg['baseline_normalized']:.3f} -> "
-                    f"{reg['current_normalized']:.3f}  ({reg['ratio']:.2f}x)",
-                    file=sys.stderr,
-                )
-            return 1
-        print(f"no regression > {args.max_regression:.0%} vs {args.baseline}")
     return 0
 
 
@@ -844,12 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--out", default="TRACE_REPLAY.json",
                           help="report JSON path (default TRACE_REPLAY.json; "
                           "'' disables writing)")
-    p_replay.add_argument("--history",
-                          default="benchmarks/perf/workers_history.jsonl",
-                          metavar="PATH",
-                          help="perf history JSONL to append the run to "
-                          "(default %(default)s; skipped when the directory "
-                          "is absent; '' disables)")
     p_replay.add_argument("--quiet", action="store_true",
                           help="suppress progress lines")
     p_replay.set_defaults(func=_cmd_replay)
@@ -861,47 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wl = sub.add_parser("workloads", help="list reference workload mixes")
     p_wl.set_defaults(func=_cmd_workloads)
-
-    p_perf = sub.add_parser(
-        "perf", help="wall-clock performance harness (micro + end-to-end)"
-    )
-    p_perf.add_argument("--quick", action="store_true",
-                        help="CI smoke sizes (1.5k-job e2e instead of 10k)")
-    p_perf.add_argument("--out", default="BENCH_PERF.json",
-                        help="result JSON path (default BENCH_PERF.json; "
-                        "'' disables writing)")
-    p_perf.add_argument("--case", action="append", metavar="NAME",
-                        help="run only this case (repeatable; see --list)")
-    p_perf.add_argument("--repeats", type=_positive_int, default=None,
-                        help="override per-case repeat count")
-    p_perf.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (testing knob)")
-    p_perf.add_argument("--baseline", metavar="JSON",
-                        help="fail (exit 1) on normalized regression vs "
-                        "this checked-in report")
-    p_perf.add_argument("--max-regression", type=float, default=0.25,
-                        help="regression tolerance for --baseline "
-                        "(default 0.25 = 25%%)")
-    p_perf.add_argument("--workers", type=_positive_int, default=0,
-                        metavar="N",
-                        help="also measure sweep throughput (cells/sec) "
-                        "through repro.runner at 1..N workers")
-    p_perf.add_argument("--sweep-cells", type=_positive_int, default=8,
-                        help="grid cells for the --workers throughput "
-                        "ladder (default 8)")
-    p_perf.add_argument("--workers-history",
-                        default="benchmarks/perf/workers_history.jsonl",
-                        metavar="PATH",
-                        help="JSONL efficiency-trend history appended by "
-                        "--workers runs; its first record is the baseline "
-                        "that efficiency regressions are flagged against "
-                        "(default %(default)s; skipped when the directory "
-                        "is absent)")
-    p_perf.add_argument("--list", action="store_true",
-                        help="list case names and exit")
-    p_perf.add_argument("--quiet", action="store_true",
-                        help="suppress per-run progress lines")
-    p_perf.set_defaults(func=_cmd_perf)
 
     p_serve = sub.add_parser(
         "serve", help="run the scheduler as a JSON/HTTP daemon"

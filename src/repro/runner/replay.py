@@ -42,8 +42,6 @@ import hashlib
 import json
 import math
 import os
-import platform
-import sys
 import time
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -71,7 +69,6 @@ __all__ = [
     "stitch_chain",
     "replay_trace",
     "generate_trace",
-    "append_replay_history",
 ]
 
 #: Version of the done-marker layout.  Schema 2 markers carry stats
@@ -576,49 +573,8 @@ def replay_trace(
 
 
 # ----------------------------------------------------------------------
-# history + trace generation
+# trace generation
 # ----------------------------------------------------------------------
-def append_replay_history(
-    payload: Dict[str, Any],
-    path: str | Path = "benchmarks/perf/workers_history.jsonl",
-) -> Optional[Dict[str, Any]]:
-    """Append a replay run to the perf history stream.
-
-    Shares the file (and torn-line tolerance) with the sweep-scaling
-    ladder; replay records carry ``kind: "trace-replay"`` and no
-    ladder rungs, so every trend consumer ignores them by construction
-    while the segment boundaries and throughput stay inspectable next
-    to the scaling trajectory.  Returns None outside a repo checkout.
-    """
-    path = Path(path)
-    if not path.parent.is_dir():
-        return None
-    sharded = payload.get("chains", {}).get("sharded", {})
-    elapsed = payload.get("elapsed_s") or 0
-    record = {
-        "schema": 1,
-        "kind": "trace-replay",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "trace_bytes": payload.get("trace_bytes"),
-        "segments": payload.get("segments_planned"),
-        "workers": payload.get("workers"),
-        "records": sharded.get("records"),
-        "records_per_sec": round(sharded.get("records", 0) / elapsed, 3)
-        if elapsed
-        else None,
-        "segment_boundaries": [
-            seg["first_submit"] for seg in payload.get("plan", [])
-        ],
-        "identical": payload.get("verify", {}).get("identical"),
-        "rungs": [],
-    }
-    with path.open("a") as handle:
-        handle.write(json.dumps(record) + "\n")
-    return record
-
-
 def generate_trace(
     path: str | Path,
     num_jobs: int,

@@ -120,11 +120,11 @@ def set_scan_observer(
 ) -> Optional[Callable[[int], None]]:
     """Install a callback receiving every cursor scan's grid size.
 
-    The perf harnesses use this to report breakpoint-grid percentiles
-    — how many candidate instants a scan may walk — without
-    instrumenting the scheduler.  Pass ``None`` to uninstall; returns
-    the previous observer so callers can restore it.  The observer
-    must not mutate scheduler state.
+    perfbench's tracer (``perfbench/tracer.py``) uses this to report
+    breakpoint-grid percentiles — how many candidate instants a scan
+    may walk — without instrumenting the scheduler.  Pass ``None`` to
+    uninstall; returns the previous observer so callers can restore
+    it.  The observer must not mutate scheduler state.
     """
     global _SCAN_OBSERVER
     previous = _SCAN_OBSERVER

@@ -17,6 +17,7 @@ import random
 import socket
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.core import default_service_config, percentiles
+from repro.service import load
 from repro.service.load import compare_records, plan_windows, run_load
 from repro.service.protocol import (
     ProtocolError,
@@ -594,6 +596,20 @@ class TestConcurrentClients:
 # the load harness: differential identity through a live daemon
 # ======================================================================
 class TestLoadHarness:
+    def test_calibration_loop_sums_squares(self, monkeypatch):
+        monkeypatch.setattr(load, "_CALIBRATION_N", 1000)
+        assert load._calibration_loop() == 999 * 1000 * 1999 // 6
+
+    def test_calibrate_is_the_median_of_its_repeats(self, monkeypatch):
+        ticks = iter([0.0, 0.5, 1.0, 1.1, 2.0, 2.3])  # runs of 0.5, 0.1, 0.3 s
+        monkeypatch.setattr(load, "_CALIBRATION_N", 10)
+        monkeypatch.setattr(load, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        assert load.calibrate(repeats=3) == pytest.approx(0.3)
+
+    def test_calibrate_one_repeat_is_positive(self, monkeypatch):
+        monkeypatch.setattr(load, "_CALIBRATION_N", 1000)
+        assert load.calibrate(repeats=1) > 0
+
     def test_plan_windows_never_split_an_instant(self):
         jobs = [make_job(job_id=i, submit=float(i // 3)) for i in range(30)]
         windows = plan_windows(jobs, batch_target=4)
@@ -619,6 +635,8 @@ class TestLoadHarness:
         written = json.loads(out.read_text())
         assert written["submissions_per_sec"] > 0
         assert written["server"]["decision_latency_ms"]["count"] == 70
+        assert written["calibration_s"] > 0
+        assert written["decision_p99_calibrated"] > 0
 
     def test_live_replay_conservative_backfill(self):
         config = small_config(num_jobs=50, backfill="conservative")

@@ -26,10 +26,8 @@ from repro import cli
 from repro.engine.results import RollingStats
 from repro.engine.simulation import SchedulerSimulation
 from repro.errors import ConfigurationError, ReplayStateError
-from repro.perf.sweep_scaling import workers_trend
 from repro.runner.replay import (
     ReplaySpec,
-    append_replay_history,
     generate_trace,
     plan_segments,
     replay_trace,
@@ -394,7 +392,7 @@ def test_streamed_rolling_replay_matches_offline_run(small_trace):
 
 
 # ----------------------------------------------------------------------
-# trace generation and history
+# trace generation
 # ----------------------------------------------------------------------
 def test_generate_trace_batches_stay_monotone(tmp_path):
     path = tmp_path / "batched.swf"
@@ -414,24 +412,6 @@ def test_generate_trace_rejects_empty(tmp_path):
         generate_trace(tmp_path / "none.swf", 0)
 
 
-def test_replay_history_record_is_trend_inert(tmp_path, small_trace):
-    payload = replay_trace(
-        small_spec(small_trace), segments=2, workers=1,
-        out_dir=tmp_path / "segments",
-    )
-    history = tmp_path / "history" / "workers_history.jsonl"
-    assert append_replay_history(payload, history) is None  # dir absent
-    history.parent.mkdir()
-    record = append_replay_history(payload, history)
-    assert record["kind"] == "trace-replay"
-    assert record["rungs"] == []
-    assert record["segment_boundaries"] == [
-        seg["first_submit"] for seg in payload["plan"]
-    ]
-    # The scaling-trend consumer must ignore replay records entirely.
-    assert workers_trend(history) is None
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -449,7 +429,6 @@ def test_cli_replay_generate_verify(tmp_path, capsys):
             "--verify",
             "--work-dir", str(tmp_path / "work"),
             "--out", str(out),
-            "--history", str(tmp_path / "missing" / "history.jsonl"),
             "--quiet",
         ]
     )
@@ -459,3 +438,40 @@ def test_cli_replay_generate_verify(tmp_path, capsys):
     assert payload["chains"]["sharded"]["records"] == 150
     captured = capsys.readouterr()
     assert "IDENTICAL" in captured.out
+
+
+def test_cli_replay_writes_nothing_outside_its_paths(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "benchmarks" / "perf").mkdir(parents=True)
+    code = cli.main(
+        [
+            "replay",
+            "--generate", "60",
+            "--segments", "2",
+            "--workers", "1",
+            "--nodes", "32",
+            "--seed", "4",
+            "--no-memory",
+            "--work-dir", str(tmp_path / "run" / "work"),
+            "--out", str(tmp_path / "run" / "replay.json"),
+            "--quiet",
+        ]
+    )
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["benchmarks", "run"]
+    assert list((tmp_path / "benchmarks" / "perf").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perf", "--quick"],
+        ["replay", "--generate", "10", "--history", "history.jsonl"],
+    ],
+    ids=["no-perf-command", "no-replay-history-flag"],
+)
+def test_cli_rejects_removed_options(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
